@@ -4,7 +4,7 @@ discrete charge lattice f = delta_f * N_e.
 
 The core solver is a damped Gauss-Newton (Levenberg-Marquardt) with forward
 finite-difference Jacobians; models that admit closed forms (power law,
-lattice grid) use them directly.
+the piecewise-quadratic lattice objective) use them directly.
 """
 
 from __future__ import annotations
@@ -480,30 +480,42 @@ def fit_powerlaw(diameters, lifetimes, lifetime_errors=None,
 
 
 def _lattice_objective(deltas: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted SSR of f against its own rounding to each candidate lattice."""
-    ratio = f[None, :] / deltas[:, None]
-    resid = f[None, :] - deltas[:, None] * np.round(ratio)
-    return np.sum(w[None, :] * resid**2, axis=1)
+    """Weighted SSR of f against its own rounding to each candidate lattice.
+
+    Evaluated in blocks of about 2^20 elements to bound the temporaries.
+    """
+    rows = max(1, 2**20 // max(len(f), 1))
+    out = np.empty(len(deltas))
+    for i in range(0, len(deltas), rows):
+        d = deltas[i:i + rows, None]
+        out[i:i + rows] = np.sum(w * (f - d * np.round(f / d))**2, axis=1)
+    return out
 
 
-def _golden_minimize(fun, lo, hi, tol=1e-12, max_iter=200):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    it = 0
-    while (b - a) > tol * max(abs(a), abs(b), 1.0) and it < max_iter:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
-        it += 1
-    return (c, fc, it) if fc <= fd else (d, fd, it)
+def _lattice_minima(f: np.ndarray, w: np.ndarray, lo: float, hi: float):
+    """hi, the interior piece minima of the lattice objective, then lo.
+
+    With a = |f|, the charges n_i = round(a_i/d) are fixed between the
+    breakpoints a_i / (k + 1/2), where the objective is quadratic in d with
+    its minimum at S1/S2, S1 = sum w a n, S2 = sum w n^2.  Sweeping d down
+    through a breakpoint moves n_i from k to k + 1, adding w_i a_i to S1 and
+    w_i (2k + 1) to S2.  The minima come out in descending order, as the
+    pieces are scanned from hi down.  Also returns the number of breakpoints.
+    """
+    a = np.abs(f)
+    k_first = np.floor(a / hi + 0.5)            # n_i just below hi
+    counts = np.maximum(np.ceil(a / lo - 0.5) - k_first, 0).astype(np.int64)
+    owner = np.repeat(np.arange(len(a)), counts)
+    k = k_first[owner] + (np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts))
+    breaks = a[owner] / (k + 0.5)
+    order = np.argsort(-breaks, kind="stable")
+    s1 = np.cumsum(np.concatenate(([np.sum(w * a * k_first)], (w * a)[owner][order])))
+    s2 = np.cumsum(np.concatenate(([np.sum(w * k_first**2)], (w[owner] * (2 * k + 1))[order])))
+    edges = np.concatenate(([hi], breaks[order], [lo]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_star = s1 / s2
+    inside = (d_star < edges[:-1]) & (d_star > edges[1:])
+    return np.concatenate(([hi], d_star[inside], [lo])), len(owner)
 
 
 LATTICE_DETECTION_RATIO = 0.5  # best fit must beat uniform rounding by this factor
@@ -514,13 +526,17 @@ def fit_charge_lattice(trace: FrequencyTrace, delta_f_range: tuple,
                        detection_ratio: float = LATTICE_DETECTION_RATIO) -> FitResult:
     """Find delta_f such that every frequency is near an integer multiple.
 
-    Grid search over the candidate range minimizing
-    sum_i w_i (f_i - delta_f round(f_i/delta_f))^2, local minima refined by
-    golden section.  Every lattice is also fit by its subharmonics, so the
-    reported delta_f is the largest candidate whose objective is within
-    (1 + 2/sqrt(dof)) of the global minimum.  Raises LatticeNotDetectedError
-    when the best candidate does not beat the uniform-rounding baseline
-    delta_f^2/12 by ``detection_ratio``.
+    The objective sum_i w_i (f_i - delta_f round(f_i/delta_f))^2 is quadratic
+    in delta_f between breakpoints that are local maxima of their terms, so
+    its local minima are the piece minima and the range ends, all found
+    exactly by one breakpoint scan (``iterations`` counts the breakpoints).
+    Every lattice is also fit by its subharmonics, so the search starts at
+    the largest minimum within (1 + 2/sqrt(dof)) of the global one and
+    reports the lowest tolerated minimum reachable from there through
+    neighbours whose charges differ by at most one at every point: narrow
+    neighbour minima flip single charges, a subharmonic doubles them.
+    Raises LatticeNotDetectedError when the best candidate does not beat the
+    uniform-rounding baseline delta_f^2/12 by ``detection_ratio``.
     """
     lo, hi = float(delta_f_range[0]), float(delta_f_range[1])
     if not (0 < lo < hi):
@@ -532,36 +548,22 @@ def fit_charge_lattice(trace: FrequencyTrace, delta_f_range: tuple,
     err = np.asarray(trace.errors, dtype=float)
     w = 1.0 / err**2 if np.all(err > 0) else np.ones(n)
 
-    f_max = float(np.max(f))
-    if f_max <= 0:
+    if float(np.max(f)) <= 0:
         raise DegenerateFitError("all frequencies are zero")
-    step = min(lo * lo / (4.0 * f_max), (hi - lo) / 50.0)
-    n_grid = min(int(math.ceil((hi - lo) / step)) + 1, 400_000)
-    deltas = np.linspace(lo, hi, n_grid)
+    deltas, n_breaks = _lattice_minima(f, w, lo, hi)
     obj = _lattice_objective(deltas, f, w)
 
-    def objective(delta):
-        return float(_lattice_objective(np.array([delta]), f, w)[0])
-
-    # local minima of the sampled landscape, ends included
-    local = np.nonzero((obj <= np.roll(obj, 1)) & (obj <= np.roll(obj, -1)))[0]
-    local = local[(local > 0) & (local < n_grid - 1)]
-    candidates = []
-    golden_iters = 0
-    for idx in local:
-        d_ref, j_ref, it = _golden_minimize(objective, deltas[idx - 1], deltas[idx + 1])
-        golden_iters += it
-        candidates.append((d_ref, j_ref))
-    for edge in (0, n_grid - 1):
-        candidates.append((float(deltas[edge]), float(obj[edge])))
-
-    j_min = min(j for _, j in candidates)
     dof = max(n - 1, 1)
-    tol_abs = 1e-12 * float(np.sum(w * f * f))
-    tol = j_min * (1.0 + 2.0 / math.sqrt(dof)) + tol_abs
-    best_delta, best_j = max((c for c in candidates if c[1] <= tol), key=lambda c: c[0])
-
     sum_wff = float(np.sum(w * f * f))
+    within = np.flatnonzero(obj <= obj.min() * (1.0 + 2.0 / math.sqrt(dof)) + 1e-12 * sum_wff)
+    # deltas descend and charges only grow as delta_f falls, so the minima
+    # reachable from the largest by steps moving no charge by more than one
+    # form a prefix of the tolerated ones
+    jumps = np.abs(np.diff(np.round(f / deltas[within, None]), axis=0)).max(axis=1) > 1
+    chain = within[:1 + int(np.argmax(np.append(jumps, True)))]
+    best = chain[np.argmin(obj[chain])]
+    best_delta, best_j = float(deltas[best]), float(obj[best])
+
     baseline = (best_delta**2 / 12.0) * float(np.sum(w))
     if best_j > detection_ratio * baseline and sum_wff > 0:
         raise LatticeNotDetectedError(
@@ -576,7 +578,7 @@ def fit_charge_lattice(trace: FrequencyTrace, delta_f_range: tuple,
                      parameters={"delta_f": float(best_delta)},
                      errors={"delta_f": float(delta_err)},
                      covariance=np.array([[delta_err**2]]),
-                     residual_norm=float(best_j), iterations=golden_iters,
+                     residual_norm=float(best_j), iterations=n_breaks,
                      converged=True, dof=dof,
                      derived={"charge_sequence": tuple(int(c) for c in charges),
                               "charge_steps": tuple(int(s) for s in steps),

@@ -137,9 +137,9 @@ def simulate_charge_trajectory(particle: Particle, rate_fn: RateFunction,
     ----------
     rate_fn : float or callable
         Constant rate, or instantaneous rate as a function of time in 1/s.
-        A callable must be bounded by ``rate_max``; if rate_max is omitted it
-        is taken as the maximum over a dense time grid, which is exact for
-        piecewise-constant and monotone rates.
+        A callable needs ``rate_max``, an upper bound of the rate over
+        [0, duration]; without it ValueError is raised, since no finite
+        sampling of the callable can see a pulse shorter than its spacing.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -152,10 +152,9 @@ def simulate_charge_trajectory(particle: Particle, rate_fn: RateFunction,
             f"floor_charge {floor_charge} is unreachable from {c0} in direction {direction}")
 
     if callable(rate_fn):
-        rate = rate_fn
         if rate_max is None:
-            grid = np.linspace(0.0, duration, 4097)
-            rate_max = float(max(rate(t) for t in grid))
+            raise ValueError("a callable rate_fn needs rate_max, its bound over [0, duration]")
+        rate = rate_fn
     else:
         value = float(rate_fn)
         if value < 0:

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ndtrap.ensemble import exponential_survival_curve
 from ndtrap.fitters import (DegenerateFitError, LatticeNotDetectedError,
-                            _fd_jacobian, _lattice_objective, confidence_band,
+                            _fd_jacobian, _lattice_objective,
+                            _lattice_minima, confidence_band,
                             exponential_model, fit_charge_lattice,
                             fit_exponential, fit_powerlaw, fit_sigmoid,
                             nls_fit, sigmoid_model)
@@ -337,3 +340,66 @@ def test_lattice_insufficient_data():
     trace = lattice_trace([5, 4, 3], 76.4, 0.0)
     with pytest.raises(DegenerateFitError):
         fit_charge_lattice(trace, (55.0, 250.0))
+
+
+def test_lattice_wide_band_exact():
+    # (2, 250) Hz under 2.4 kHz: sampling it finely enough to resolve every
+    # piece (step 2^2 / (4 * 2368) Hz) would take about 595,000 points.  The
+    # scan returns the closed-form least-squares spacing of the true charges
+    # and counts every breakpoint in the band.
+    charges = np.arange(31, 0, -1)
+    for sigma in (0.0, 0.5):
+        trace = lattice_trace(charges, 76.4, sigma, seed=1)
+        f, w = trace.frequencies, 1.0 / trace.errors**2
+        exact = float(np.sum(w * f * charges) / np.sum(w * charges**2))
+        res = fit_charge_lattice(trace, (2.0, 250.0))
+        assert res.parameters["delta_f"] == pytest.approx(exact, rel=1e-9)
+        assert res.derived["charge_sequence"] == tuple(int(c) for c in charges)
+        assert res.iterations == int(np.sum(np.ceil(np.abs(f) / 2.0 - 0.5)
+                                            - np.floor(np.abs(f) / 250.0 + 0.5)))
+
+
+def test_lattice_neighbour_minimum_rule():
+    # a narrow neighbour minimum just above the true spacing lies within the
+    # chi-square tolerance and rounds one charge differently; the largest
+    # tolerated minimum alone would report it
+    charges = np.arange(30, 0, -1)
+    trace = lattice_trace(charges, 76.4, 0.15 * 76.4, seed=6)
+    f, w = trace.frequencies, 1.0 / trace.errors**2
+    deltas, _ = _lattice_minima(f, w, 55.0, 250.0)
+    obj = _lattice_objective(deltas, f, w)
+    tol = obj.min() * (1.0 + 2.0 / math.sqrt(len(f) - 1)) + 1e-12 * np.sum(w * f * f)
+    largest = deltas[obj <= tol].max()
+    flipped = np.round(f / largest) != charges
+    assert flipped.sum() == 1
+    res = fit_charge_lattice(trace, (55.0, 250.0))
+    assert res.derived["charge_sequence"] == tuple(int(c) for c in charges)
+    assert res.parameters["delta_f"] < largest
+    assert abs(res.parameters["delta_f"] - 76.4) / 76.4 <= 0.02
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(delta_f=st.floats(10.0, 500.0),
+       charges=st.lists(st.integers(0, 60), min_size=10, max_size=60)
+       .filter(lambda c: max(c) > 0),
+       noise=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+       seed=st.integers(0, 2**32 - 1))
+# five exposures, two neighbour steps from the largest tolerated minimum
+# to the truth
+@example(delta_f=10.0, charges=[0, 1, 38, 1, 1], noise=0.046875, seed=1)
+def test_lattice_property_minimum(delta_f, charges, noise, seed):
+    # traces of at least 10 exposures: at 5 the (1 + 2/sqrt(dof)) tolerance
+    # is twice the minimum and can admit another lattice that fits worse
+    # than the truth (charges 0, 25, 0, 1, 6 at 10 Hz read as 0, 21, 0, 1, 5
+    # at 11.9 Hz).  The band keeps the subharmonic delta_f / 2 and the
+    # harmonic 2 delta_f out.  The fit is no worse than the truth, and the
+    # scanned minima hold one at or below a dense grid.
+    trace = lattice_trace(charges, delta_f, noise * delta_f, seed=seed)
+    f, w = trace.frequencies, 1.0 / trace.errors**2
+    lo, hi = 0.55 * delta_f, 1.9 * delta_f
+    slack = 1e-9 * float(np.sum(w * f * f))
+    res = fit_charge_lattice(trace, (lo, hi))
+    assert res.residual_norm <= _lattice_objective(np.array([delta_f]), f, w)[0] + slack
+    deltas, _ = _lattice_minima(f, w, lo, hi)
+    grid = _lattice_objective(np.linspace(lo, hi, 20_001), f, w)
+    assert _lattice_objective(deltas, f, w).min() <= grid.min() + slack

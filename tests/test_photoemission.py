@@ -104,6 +104,18 @@ def test_trajectory_negative_rate_rejected():
                                    rate_max=1.0, floor_charge=None, seed=0)
 
 
+def test_callable_rate_requires_bound():
+    # a 0.1 ms pulse in 1 s: a sampled maximum sees it only by luck, so the
+    # bound must be stated
+    pulse = lambda t: 1e5 if 0.50005 <= t < 0.50015 else 0.0
+    with pytest.raises(ValueError, match="rate_max"):
+        simulate_charge_trajectory(REF_PARTICLE, pulse, 1.0, "emit", floor_charge=None)
+    traj = simulate_charge_trajectory(REF_PARTICLE, pulse, 1.0, "emit", rate_max=1e5,
+                                      floor_charge=None, seed=0)
+    assert traj.n_events > 0
+    assert np.all((traj.times >= 0.50005) & (traj.times < 0.50015))
+
+
 def test_poisson_statistics():
     # constant rate, no floor: event counts are Poisson(rate * duration)
     rate, duration, n = 3.0, 10.0, 1000
