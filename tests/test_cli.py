@@ -127,6 +127,33 @@ def test_sweep_rejected_by_simulate(tmp_path):
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 2
 
 
+def test_sweep_size_writes_table(tmp_path):
+    cfg = write_scenario(tmp_path, "fig8_sweep")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 0
+    header = (out / "sweep.csv").read_text().splitlines()[0]
+    assert header.split(",")[0] == "diameter_m"
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["kind"] == "sweep_size"
+
+
+def test_non_sweep_rejected_by_sweep(tmp_path):
+    cfg = write_scenario(tmp_path, "fig9_steps")
+    assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+
+
+def test_simulate_trajectory_kind(tmp_path):
+    cfg = tmp_path / "traj.cfg"
+    cfg.write_text("[scenario]\nname = traj_demo\nkind = trajectory\nseed = 5\n"
+                   "[particle]\ndiameter = 250 nm\ncharge_sign = negative\n"
+                   "[run]\ninitial_charge = -20\nrate = 2 1/s\nduration = 5 s\n")
+    out = tmp_path / "t"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert rows[0] == "t_s,charge_count"
+    assert len(rows) > 2
+
+
 def test_out_dir_env_override(tmp_path, monkeypatch):
     cfg = write_scenario(tmp_path, "fig9_steps")
     monkeypatch.setenv("NDTRAP_OUT_DIR", str(tmp_path / "envroot"))
