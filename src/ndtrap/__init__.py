@@ -7,8 +7,7 @@ measurement-model fits that turn traces back into physical parameters.
 from .core import (ChargeEnvelope, Particle, TrapConfig, UVSource,
                    atom_count_from_radius, charge_envelope, mass_from_radius)
 from .ensemble import (SurvivalCurve, exponential_survival_curve,
-                       lifetime_vs_size_sweep, lifetime_vs_wavelength_sweep,
-                       simulate_survival)
+                       lifetime_sweep, simulate_survival)
 from .fitters import (FitResult, fit_charge_lattice, fit_exponential,
                       fit_powerlaw, fit_sigmoid, nls_fit)
 from .photoemission import (ChargeTrajectory, EmissionModel, PulseTrain,

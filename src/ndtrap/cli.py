@@ -19,9 +19,10 @@ from .fitters import (FitError, LatticeNotDetectedError,
                       fit_charge_lattice, fit_exponential, fit_powerlaw,
                       fit_sigmoid)
 from .reproduce import FIGURES, reproduce
-from .runner import (run_frequency_trace_scenario, run_motion_scenario,
-                     run_picker_scenario, run_size_sweep_scenario,
-                     run_survival_scenario, run_wavelength_sweep_scenario)
+from .runner import (SWEEP_KINDS, run_frequency_trace_scenario,
+                     run_motion_scenario, run_picker_scenario,
+                     run_survival_scenario, run_sweep_scenario,
+                     run_trajectory_scenario)
 from .trap import ParticleLost
 
 OUT_DIR_ENV = "NDTRAP_OUT_DIR"
@@ -47,13 +48,25 @@ def _load_scenario(args):
     return sc
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_run(args) -> int:
+    """Body of both 'simulate' and 'sweep'; each accepts its own scenario kinds."""
     sc = _load_scenario(args)
+    is_sweep = sc.kind in SWEEP_KINDS
+    if is_sweep and args.command == "simulate":
+        print(f"scenario kind {sc.kind!r} runs under the 'sweep' command", file=sys.stderr)
+        return EXIT_USAGE
+    if not is_sweep and args.command == "sweep":
+        print(f"scenario kind {sc.kind!r} is not a sweep", file=sys.stderr)
+        return EXIT_USAGE
     out_dir = io.ensure_dir(_resolve_out_dir(args.out_dir, sc.name))
     meta = {"scenario": sc.name, "kind": sc.kind, "seed": sc.seed,
             "config": serialize_scenario(sc)}
     written = []
-    if sc.kind == "survival":
+    if is_sweep:
+        path = os.path.join(out_dir, "sweep.csv")
+        io.write_sweep_csv(path, run_sweep_scenario(sc), SWEEP_KINDS[sc.kind][2])
+        written.append(path)
+    elif sc.kind == "survival":
         curve = run_survival_scenario(sc)
         path = os.path.join(out_dir, "survival.csv")
         io.write_survival_csv(path, curve)
@@ -69,7 +82,6 @@ def _cmd_simulate(args) -> int:
         meta["n_events"] = traj.n_events
         written += [t_path, f_path]
     elif sc.kind == "trajectory":
-        from .runner import run_trajectory_scenario
         traj = run_trajectory_scenario(sc)
         path = os.path.join(out_dir, "trajectory.csv")
         io.write_trajectory_csv(path, traj)
@@ -95,9 +107,6 @@ def _cmd_simulate(args) -> int:
         io.write_frequency_trace_csv(f_path, trace)
         meta["pulses_fixed_phases"] = len(pulses)
         written += [p_path, f_path]
-    elif sc.kind in ("sweep_wavelength", "sweep_size"):
-        print(f"scenario kind {sc.kind!r} runs under the 'sweep' command", file=sys.stderr)
-        return EXIT_USAGE
     else:
         print(f"unknown scenario kind {sc.kind!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -106,27 +115,6 @@ def _cmd_simulate(args) -> int:
     written.append(meta_path)
     for p in written:
         print(p)
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    sc = _load_scenario(args)
-    out_dir = io.ensure_dir(_resolve_out_dir(args.out_dir, sc.name))
-    if sc.kind == "sweep_wavelength":
-        points = run_wavelength_sweep_scenario(sc)
-        x_name = "wavelength_nm"
-    elif sc.kind == "sweep_size":
-        points = run_size_sweep_scenario(sc)
-        x_name = "diameter_m"
-    else:
-        print(f"scenario kind {sc.kind!r} is not a sweep", file=sys.stderr)
-        return EXIT_USAGE
-    path = os.path.join(out_dir, "sweep.csv")
-    io.write_sweep_csv(path, points, x_name)
-    io.write_json(os.path.join(out_dir, "metadata.json"),
-                  {"scenario": sc.name, "kind": sc.kind, "seed": sc.seed,
-                   "config": serialize_scenario(sc)})
-    print(path)
     return EXIT_OK
 
 
@@ -202,13 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out-dir", default=None)
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a sweep scenario config")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out-dir", default=None)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_run)
 
     p_fit = sub.add_parser("fit", help="fit a measurement CSV")
     p_fit.add_argument("model", choices=("exp", "sigmoid", "powerlaw", "lattice"))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .constants import CARBON_ATOM_VOLUME, DIAMOND_DENSITY, ELEMENTARY_CHARGE
 
-DEFAULT_CHARGE_CAP = 1_000_000  # sanity bound on |charge_count|
+CHARGE_CAP = 1_000_000  # sanity bound on |charge_count|
 
 
 def mass_from_radius(radius: float, density: float = DIAMOND_DENSITY) -> float:
@@ -37,30 +37,30 @@ def atom_count_from_radius(radius: float) -> int:
 _ENVELOPE_ANCHOR_LO = (75e-9, 10.0)
 _ENVELOPE_ANCHOR_HI = (10e-6, 1000.0)
 _ENVELOPE_RADIUS_RANGE = (10e-9, 20e-6)
+# widening each way, to cover the scatter seen across published trap loads
+_ENVELOPE_BAND_FACTOR = 3.0
 
 ChargeEnvelope = namedtuple("ChargeEnvelope", "minimum center maximum")
 
 
-def charge_envelope(radius: float, band_factor: float = 3.0) -> ChargeEnvelope:
+def charge_envelope(radius: float) -> ChargeEnvelope:
     """Typical |charge| range (in e) for a trapped particle of this radius.
 
     Log-log linear interpolation between the anchor points
-    (d = 75 nm -> 10 e) and (d = 10 um -> 1000 e), widened by
-    ``band_factor`` each way to cover the scatter seen across published
-    trap loads.
+    (d = 75 nm -> 10 e) and (d = 10 um -> 1000 e), widened by a factor of 3
+    each way.
     """
     lo, hi = _ENVELOPE_RADIUS_RANGE
     if not (lo <= radius <= hi):
         raise ValueError(
             f"radius {radius} m outside supported envelope range [{lo}, {hi}] m"
         )
-    if band_factor < 1.0:
-        raise ValueError("band_factor must be >= 1")
     d_lo, q_lo = _ENVELOPE_ANCHOR_LO
     d_hi, q_hi = _ENVELOPE_ANCHOR_HI
     slope = math.log(q_hi / q_lo) / math.log(d_hi / d_lo)
     center = q_lo * (2.0 * radius / d_lo) ** slope
-    return ChargeEnvelope(center / band_factor, center, center * band_factor)
+    return ChargeEnvelope(center / _ENVELOPE_BAND_FACTOR, center,
+                          center * _ENVELOPE_BAND_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ class Particle:
     radius: float
     charge_count: int
     material_density: float = DIAMOND_DENSITY
-    charge_cap: int = DEFAULT_CHARGE_CAP
 
     def __post_init__(self):
         if not (self.radius > 0 and math.isfinite(self.radius)):
@@ -85,9 +84,9 @@ class Particle:
         if self.charge_count != int(self.charge_count):
             raise ValueError("charge_count must be an integer number of e")
         object.__setattr__(self, "charge_count", int(self.charge_count))
-        if abs(self.charge_count) > self.charge_cap:
+        if abs(self.charge_count) > CHARGE_CAP:
             raise ValueError(
-                f"|charge_count| = {abs(self.charge_count)} exceeds cap {self.charge_cap}"
+                f"|charge_count| = {abs(self.charge_count)} exceeds cap {CHARGE_CAP}"
             )
 
     @property

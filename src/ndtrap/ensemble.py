@@ -65,24 +65,21 @@ def stable_charge_range(particle_template: Particle, trap: TrapConfig) -> tuple:
 ChargeSampler = Callable[[np.random.Generator, Particle, TrapConfig], int]
 
 
-def envelope_charge_sampler(band_factor: float = 3.0, sign: int = -1,
-                            clip_to_stability: bool = True) -> ChargeSampler:
+def envelope_charge_sampler(sign: int = -1) -> ChargeSampler:
     """Initial charges log-uniform inside the typical-charge envelope.
 
-    With ``clip_to_stability`` the draw is restricted to the part of the
-    envelope that is actually trappable (particles outside the band would
-    never have loaded), which is also what keeps n_alive(0) = n0.
+    The draw is restricted to the part of the envelope that is actually
+    trappable (particles outside the band would never have loaded), which is
+    also what keeps n_alive(0) = n0.
     """
     def sampler(rng, particle, trap):
-        env = charge_envelope(particle.radius, band_factor=band_factor)
-        lo, hi = env.minimum, env.maximum
-        if clip_to_stability:
-            s_lo, s_hi = stable_charge_range(particle, trap)
-            lo, hi = max(lo, s_lo), min(hi, s_hi)
-            if lo > hi:
-                raise ValueError(
-                    "typical-charge envelope does not overlap the stable band; "
-                    "adjust the trap geometry factor or drive")
+        env = charge_envelope(particle.radius)
+        s_lo, s_hi = stable_charge_range(particle, trap)
+        lo, hi = max(env.minimum, s_lo), min(env.maximum, s_hi)
+        if lo > hi:
+            raise ValueError(
+                "typical-charge envelope does not overlap the stable band; "
+                "adjust the trap geometry factor or drive")
         count = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
         count = min(max(count, math.ceil(lo)), math.floor(hi))
         return sign * count
@@ -140,7 +137,7 @@ def integrated_escape_check(particle: Particle, trap: TrapConfig,
 
 
 def _death_time(rng, particle, trap, model, source, duration, uv_on_time,
-                background_rate, positive_emission_factor):
+                background_rate):
     """First time this particle's q leaves the band (or inf)."""
     from .trap import is_stable, stability_parameter
     c0 = particle.charge_count
@@ -149,19 +146,12 @@ def _death_time(rng, particle, trap, model, source, duration, uv_on_time,
         raise ValueError(f"initial charge {c0} is outside the stable band (q = {q0:.3g})")
     t_bg = rng.exponential(1.0 / background_rate) if background_rate > 0 else math.inf
 
-    rate = emission_rate(model, source, particle)
-    if c0 > 0:
-        rate *= positive_emission_factor
+    # emission moves charge_count positive-ward, so it discharges a negative
+    # particle down through the band floor; positive particles do not emit
+    rate = emission_rate(model, source, particle) if c0 < 0 else 0.0
     t_uv = math.inf
-    if rate > 0 and c0 != 0 and uv_on_time < duration:
-        s_lo, s_hi = stable_charge_range(particle, trap)
-        # emission moves charge_count positive-ward: a negative particle
-        # discharges down through the band floor, a positive one charges up
-        # through the ceiling
-        if c0 < 0:
-            exit_charge = -(s_lo - 1)
-        else:
-            exit_charge = s_hi + 1
+    if rate > 0 and uv_on_time < duration:
+        exit_charge = 1 - stable_charge_range(particle, trap)[0]
         traj = simulate_charge_trajectory(
             particle, rate, duration - uv_on_time, direction="emit", rng=rng,
             floor_charge=exit_charge)
@@ -170,13 +160,21 @@ def _death_time(rng, particle, trap, model, source, duration, uv_on_time,
     return min(t_bg, t_uv)
 
 
+def _survival_curve(deaths, duration, frame_rate, uv_on_time, metadata) -> SurvivalCurve:
+    """Survivors at each frame of ``duration`` from one death time per particle."""
+    n0 = len(deaths)
+    times = np.arange(int(math.floor(duration * frame_rate)) + 1) / frame_rate
+    alive = n0 - np.searchsorted(np.sort(deaths), times, side="right")
+    return SurvivalCurve(times=times, n_alive=alive.astype(int), n0=n0,
+                         uv_on_time=uv_on_time, metadata=metadata)
+
+
 def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
                       model: EmissionModel, source: UVSource, duration: float,
                       seed: int, charge_sampler: Optional[ChargeSampler] = None,
                       uv_on_time: float = 0.0,
                       frame_rate: float = DEFAULT_FRAME_RATE,
                       background_rate: float = 0.0,
-                      positive_emission_factor: float = 0.0,
                       metadata: Optional[dict] = None) -> SurvivalCurve:
     """Simulate n0 independent particles and count survivors over time.
 
@@ -185,8 +183,7 @@ def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
     moment its stability parameter exits the trap band.  The curve is
     sampled at ``frame_rate``.  ``background_rate`` adds a UV-independent
     exponential loss channel (the no-UV control rate); UV emission acts on
-    negatively charged particles, scaled by ``positive_emission_factor``
-    (default 0) for positive ones.
+    negatively charged particles only.
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
@@ -203,12 +200,7 @@ def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
         rng = np.random.default_rng(seqs[i])
         p = particle_template.with_charge(charge_sampler(rng, particle_template, trap))
         deaths[i] = _death_time(rng, p, trap, model, source, duration,
-                                uv_on_time, background_rate,
-                                positive_emission_factor)
-    deaths.sort()
-    n_frames = int(math.floor(duration * frame_rate)) + 1
-    times = np.arange(n_frames) / frame_rate
-    alive = n0 - np.searchsorted(deaths, times, side="right")
+                                uv_on_time, background_rate)
     meta = {"seed": seed if isinstance(seed, int) else str(seed),
             "wavelength": source.wavelength,
             "diameter": particle_template.diameter,
@@ -216,8 +208,7 @@ def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
             "background_rate": background_rate, "duration": duration}
     if metadata:
         meta.update(metadata)
-    return SurvivalCurve(times=times, n_alive=alive.astype(int), n0=n0,
-                         uv_on_time=uv_on_time, metadata=meta)
+    return _survival_curve(deaths, duration, frame_rate, uv_on_time, meta)
 
 
 def exponential_survival_curve(n0: int, tau: float, duration: float, seed: int,
@@ -232,13 +223,8 @@ def exponential_survival_curve(n0: int, tau: float, duration: float, seed: int,
         raise ValueError("n0, tau and duration must be positive")
     rng = np.random.default_rng(seed)
     deaths = uv_on_time + rng.exponential(tau, n0)
-    deaths.sort()
-    n_frames = int(math.floor(duration * frame_rate)) + 1
-    times = np.arange(n_frames) / frame_rate
-    alive = n0 - np.searchsorted(deaths, times, side="right")
-    return SurvivalCurve(times=times, n_alive=alive.astype(int), n0=n0,
-                         uv_on_time=uv_on_time,
-                         metadata={"tau_true": tau, "seed": seed})
+    return _survival_curve(deaths, duration, frame_rate, uv_on_time,
+                           {"tau_true": tau, "seed": seed})
 
 
 SweepPoint = namedtuple("SweepPoint", "x lifetime lifetime_error flags")
@@ -257,46 +243,34 @@ def _sweep_lifetime(curve) -> SweepPoint:
     return SweepPoint(math.nan, tau, err, flags)
 
 
-def lifetime_vs_wavelength_sweep(wavelengths, n0: int, particle_template: Particle,
-                                 trap: TrapConfig, model: EmissionModel,
-                                 source_template: UVSource, duration: float,
-                                 seed: int, **run_kwargs) -> list:
-    """Simulate and fit a trap lifetime at each wavelength (nm).
+# axis -> (fewest values, how one value sets the particle and the source)
+SWEEP_AXES = {
+    "wavelength": (3, lambda particle, source, nm: (particle, replace(source, wavelength=nm))),
+    "diameter": (1, lambda particle, source, m: (replace(particle, radius=m / 2.0), source)),
+}
 
-    A failed fit flags its entry and the sweep continues.
+
+def lifetime_sweep(axis: str, values, n0: int, particle_template: Particle,
+                   trap: TrapConfig, model: EmissionModel, source: UVSource,
+                   duration: float, seed: int, **run_kwargs) -> list:
+    """Simulate and fit a trap lifetime at each value along one sweep axis.
+
+    ``axis`` is ``"wavelength"`` (values in nm set the source wavelength; at
+    least 3 values) or ``"diameter"`` (values in m set the particle size, so
+    mass, typical-charge envelope and emission rate co-vary while the trap
+    and source stay fixed; at least 1 value).  Each point draws from its own
+    spawn of ``seed``.  A failed fit flags its entry and the sweep continues.
     """
-    wavelengths = list(wavelengths)
-    if len(wavelengths) < 3:
-        raise ValueError("sweep needs at least 3 wavelengths")
-    seqs = np.random.SeedSequence(seed).spawn(len(wavelengths))
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; choose from {tuple(SWEEP_AXES)}")
+    fewest, set_value = SWEEP_AXES[axis]
+    values = [float(v) for v in values]
+    if len(values) < fewest:
+        raise ValueError(f"{axis} sweep needs at least {fewest} values")
     out = []
-    for lam, seq in zip(wavelengths, seqs):
-        source = replace(source_template, wavelength=float(lam))
-        curve = simulate_survival(n0, particle_template, trap, model, source,
-                                  duration, seed=seq, **run_kwargs)
-        point = _sweep_lifetime(curve)
-        out.append(point._replace(x=float(lam)))
-    return out
-
-
-def lifetime_vs_size_sweep(diameters, n0: int, particle_template: Particle,
-                           trap: TrapConfig, model: EmissionModel,
-                           source: UVSource, duration: float, seed: int,
-                           **run_kwargs) -> list:
-    """Simulate and fit a trap lifetime at each particle diameter (m).
-
-    Mass, typical-charge envelope and emission rate all co-vary with the
-    diameter; the trap and source stay fixed.
-    """
-    diameters = list(diameters)
-    if len(diameters) < 1:
-        raise ValueError("sweep needs at least one diameter")
-    seqs = np.random.SeedSequence(seed).spawn(len(diameters))
-    out = []
-    for d, seq in zip(diameters, seqs):
-        particle = replace(particle_template, radius=float(d) / 2.0)
-        curve = simulate_survival(n0, particle, trap, model, source,
-                                  duration, seed=seq, **run_kwargs)
-        point = _sweep_lifetime(curve)
-        out.append(point._replace(x=float(d)))
+    for x, seq in zip(values, np.random.SeedSequence(seed).spawn(len(values))):
+        particle, src = set_value(particle_template, source, x)
+        curve = simulate_survival(n0, particle, trap, model, src, duration,
+                                  seed=seq, **run_kwargs)
+        out.append(_sweep_lifetime(curve)._replace(x=x))
     return out

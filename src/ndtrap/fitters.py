@@ -206,24 +206,20 @@ def exponential_model(t, n0, tau):
 NO_DECAY_SPAN_FACTOR = 50.0  # tau beyond this many data spans counts as flat
 
 
-def fit_exponential(curve, uv_on_time: Optional[float] = None,
-                    error_model: str = "auto") -> FitResult:
+def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     """Fit N(t) = N0 exp(-t/tau) to the post-illumination part of a survival curve.
 
     Times are measured from the UV turn-on.  Non-decaying data comes back
     converged with a very large tau and the ``no_decay`` flag.
 
-    ``error_model`` selects how the tau standard error is computed:
-    ``"counting"`` uses the survival statistic tau / sqrt(observed deaths)
-    (the residual-based covariance badly underestimates on counting curves,
-    whose deviations are correlated across time); ``"residual"`` keeps the
-    plain least-squares covariance, appropriate for independent-noise data;
-    ``"auto"`` picks counting for integer count data and residual otherwise.
+    On integer count data the tau standard error is the survival statistic
+    tau / sqrt(observed deaths): the residual-based covariance badly
+    underestimates on counting curves, whose deviations are correlated
+    across time.  Other data keeps the plain least-squares covariance,
+    appropriate for independent noise.
     """
     t = np.asarray(curve.times, dtype=float)
     y = np.asarray(curve.n_alive, dtype=float)
-    if error_model not in ("auto", "counting", "residual"):
-        raise ValueError(f"unknown error_model {error_model!r}")
     if uv_on_time is None:
         uv_on_time = getattr(curve, "uv_on_time", 0.0)
     mask = t >= uv_on_time
@@ -232,9 +228,7 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None,
     if len(np.unique(t)) < 3:
         raise DegenerateFitError("need at least 3 distinct times after UV on")
     span = float(t[-1] - t[0]) if t[-1] > t[0] else 1.0
-    if error_model == "auto":
-        is_counts = bool(np.all(y == np.round(y)))
-        error_model = "counting" if is_counts else "residual"
+    is_counts = bool(np.all(y == np.round(y)))
 
     pos = y > 0
     if pos.sum() >= 2 and np.ptp(y[pos]) > 0:
@@ -256,7 +250,7 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None,
     tau = result.parameters["tau"]
     if tau > NO_DECAY_SPAN_FACTOR * span or tau <= 0:
         result.flags = tuple(dict.fromkeys(result.flags + ("no_decay",)))
-    if error_model == "counting":
+    if is_counts:
         deaths = float(np.max(y) - np.min(y))
         if deaths > 0 and tau > 0:
             result.errors["tau"] = abs(tau) / math.sqrt(deaths)
@@ -519,11 +513,10 @@ def _lattice_minima(f: np.ndarray, w: np.ndarray, lo: float, hi: float):
 
 
 LATTICE_DETECTION_RATIO = 0.5  # best fit must beat uniform rounding by this factor
+LATTICE_MIN_POINTS = 5
 
 
-def fit_charge_lattice(trace: FrequencyTrace, delta_f_range: tuple,
-                       min_points: int = 5,
-                       detection_ratio: float = LATTICE_DETECTION_RATIO) -> FitResult:
+def fit_charge_lattice(trace: FrequencyTrace, delta_f_range: tuple) -> FitResult:
     """Find delta_f such that every frequency is near an integer multiple.
 
     The objective sum_i w_i (f_i - delta_f round(f_i/delta_f))^2 is quadratic
@@ -536,15 +529,16 @@ def fit_charge_lattice(trace: FrequencyTrace, delta_f_range: tuple,
     neighbours whose charges differ by at most one at every point: narrow
     neighbour minima flip single charges, a subharmonic doubles them.
     Raises LatticeNotDetectedError when the best candidate does not beat the
-    uniform-rounding baseline delta_f^2/12 by ``detection_ratio``.
+    uniform-rounding baseline delta_f^2/12 by LATTICE_DETECTION_RATIO.
     """
     lo, hi = float(delta_f_range[0]), float(delta_f_range[1])
     if not (0 < lo < hi):
         raise ValueError(f"invalid delta_f range {delta_f_range}")
     f = np.asarray(trace.frequencies, dtype=float)
     n = len(f)
-    if n < min_points:
-        raise DegenerateFitError(f"insufficient data: {n} points, need >= {min_points}")
+    if n < LATTICE_MIN_POINTS:
+        raise DegenerateFitError(
+            f"insufficient data: {n} points, need >= {LATTICE_MIN_POINTS}")
     err = np.asarray(trace.errors, dtype=float)
     w = 1.0 / err**2 if np.all(err > 0) else np.ones(n)
 
@@ -565,7 +559,7 @@ def fit_charge_lattice(trace: FrequencyTrace, delta_f_range: tuple,
     best_delta, best_j = float(deltas[best]), float(obj[best])
 
     baseline = (best_delta**2 / 12.0) * float(np.sum(w))
-    if best_j > detection_ratio * baseline and sum_wff > 0:
+    if best_j > LATTICE_DETECTION_RATIO * baseline and sum_wff > 0:
         raise LatticeNotDetectedError(
             f"no lattice in range: best objective {best_j:.3g} vs uniform baseline {baseline:.3g}")
 

@@ -16,9 +16,9 @@ from . import io
 from .fitters import (LatticeNotDetectedError, fit_charge_lattice,
                       fit_exponential, fit_powerlaw, fit_sigmoid)
 from .photoemission import mean_pulses_analytic, pick_pulses
-from .runner import (load_bundled_scenario, run_frequency_trace_scenario,
-                     run_picker_scenario, run_size_sweep_scenario,
-                     run_survival_scenario, run_wavelength_sweep_scenario)
+from .runner import (SWEEP_KINDS, load_bundled_scenario,
+                     run_frequency_trace_scenario, run_picker_scenario,
+                     run_survival_scenario, run_sweep_scenario)
 from .units import photon_energy_ev
 
 FIGURES = ("fig5", "fig7", "fig8", "fig9", "fig10", "fig12", "picker")
@@ -122,7 +122,7 @@ def reproduce_fig5(out_dir, seed=None) -> Report:
 def reproduce_fig7(out_dir, seed=None) -> Report:
     sc = _scenario("fig7_sweep", seed)
     report = Report("fig7", sc.seed)
-    points = run_wavelength_sweep_scenario(sc)
+    points = run_sweep_scenario(sc)
     good = [p for p in points if not p.flags]
     fit = fit_sigmoid([p.x for p in good], [p.lifetime for p in good],
                       [p.lifetime_error for p in good], fit_space="inverse")
@@ -141,7 +141,7 @@ def reproduce_fig7(out_dir, seed=None) -> Report:
                detail=f"fitted threshold gives {fit.derived['threshold_photon_energy_ev']:.3f} eV")
 
     path = os.path.join(out_dir, "fig7_sweep.csv")
-    io.write_sweep_csv(path, points, "wavelength_nm")
+    io.write_sweep_csv(path, points, SWEEP_KINDS[sc.kind][2])
     fit_path = os.path.join(out_dir, "fig7_fit.json")
     io.write_json(fit_path, io.fit_result_to_dict(fit, model="sigmoid"))
     report.outputs += [path, fit_path]
@@ -152,7 +152,7 @@ def reproduce_fig7(out_dir, seed=None) -> Report:
 def reproduce_fig8(out_dir, seed=None) -> Report:
     sc = _scenario("fig8_sweep", seed)
     report = Report("fig8", sc.seed)
-    points = run_size_sweep_scenario(sc)
+    points = run_sweep_scenario(sc)
     good = [p for p in points if not p.flags]
     d = [p.x for p in good]
     tau = [p.lifetime for p in good]
@@ -172,7 +172,7 @@ def reproduce_fig8(out_dir, seed=None) -> Report:
                f"< {fixed2.residual_norm:.4g} (d^-2 residual)")
 
     path = os.path.join(out_dir, "fig8_sweep.csv")
-    io.write_sweep_csv(path, points, "diameter_m")
+    io.write_sweep_csv(path, points, SWEEP_KINDS[sc.kind][2])
     fit_path = os.path.join(out_dir, "fig8_fit.json")
     io.write_json(fit_path, {
         "free": io.fit_result_to_dict(free, model="powerlaw"),

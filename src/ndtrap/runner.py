@@ -15,8 +15,7 @@ import numpy as np
 
 from .config import ConfigError, Scenario, parse_scenario_text
 from .ensemble import (envelope_charge_sampler, fixed_charge_sampler,
-                       lifetime_vs_size_sweep, lifetime_vs_wavelength_sweep,
-                       margin_charge_sampler, simulate_survival)
+                       lifetime_sweep, margin_charge_sampler, simulate_survival)
 from .photoemission import pick_pulses, simulate_charge_trajectory
 from .signal import FrequencyTrace, synthesize_frequency_trace
 from .trap import damping_rate, integrate_motion
@@ -50,55 +49,41 @@ def _sampler_from(sc: Scenario):
     return build_charge_sampler(sc.get("run", "charge_sampler", "envelope"), sign)
 
 
+def _survival_kwargs(sc: Scenario) -> dict:
+    return dict(
+        n0=sc.require("run", "n_particles"),
+        particle_template=sc.particle(),
+        trap=sc.trap(),
+        model=sc.emission_model(),
+        source=sc.uv_source(),
+        duration=sc.require("run", "duration"),
+        seed=sc.seed,
+        charge_sampler=_sampler_from(sc),
+        uv_on_time=sc.get("run", "uv_on_time", 0.0),
+        frame_rate=sc.get("run", "frame_rate", 10.0),
+        background_rate=sc.get("run", "background_rate", 0.0),
+    )
+
+
 def run_survival_scenario(sc: Scenario):
-    return simulate_survival(
-        n0=sc.require("run", "n_particles"),
-        particle_template=sc.particle(),
-        trap=sc.trap(),
-        model=sc.emission_model(),
-        source=sc.uv_source(),
-        duration=sc.require("run", "duration"),
-        seed=sc.seed,
-        charge_sampler=_sampler_from(sc),
-        uv_on_time=sc.get("run", "uv_on_time", 0.0),
-        frame_rate=sc.get("run", "frame_rate", 10.0),
-        background_rate=sc.get("run", "background_rate", 0.0),
-        metadata={"scenario": sc.name},
-    )
+    return simulate_survival(**_survival_kwargs(sc), metadata={"scenario": sc.name})
 
 
-def run_wavelength_sweep_scenario(sc: Scenario):
-    return lifetime_vs_wavelength_sweep(
-        sc.require("run", "wavelengths"),
-        n0=sc.require("run", "n_particles"),
-        particle_template=sc.particle(),
-        trap=sc.trap(),
-        model=sc.emission_model(),
-        source_template=sc.uv_source(),
-        duration=sc.require("run", "duration"),
-        seed=sc.seed,
-        charge_sampler=_sampler_from(sc),
-        uv_on_time=sc.get("run", "uv_on_time", 0.0),
-        frame_rate=sc.get("run", "frame_rate", 10.0),
-        background_rate=sc.get("run", "background_rate", 0.0),
-    )
+# sweep kind -> (ensemble sweep axis, [run] key of its values, sweep.csv column)
+SWEEP_KINDS = {
+    "sweep_wavelength": ("wavelength", "wavelengths", "wavelength_nm"),
+    "sweep_size": ("diameter", "diameters", "diameter_m"),
+}
 
 
-def run_size_sweep_scenario(sc: Scenario):
-    return lifetime_vs_size_sweep(
-        sc.require("run", "diameters"),
-        n0=sc.require("run", "n_particles"),
-        particle_template=sc.particle(),
-        trap=sc.trap(),
-        model=sc.emission_model(),
-        source=sc.uv_source(),
-        duration=sc.require("run", "duration"),
-        seed=sc.seed,
-        charge_sampler=_sampler_from(sc),
-        uv_on_time=sc.get("run", "uv_on_time", 0.0),
-        frame_rate=sc.get("run", "frame_rate", 10.0),
-        background_rate=sc.get("run", "background_rate", 0.0),
-    )
+def run_sweep_scenario(sc: Scenario):
+    """Lifetime sweep along the axis of the scenario's sweep kind."""
+    axis, key, _ = SWEEP_KINDS[sc.kind]
+    return lifetime_sweep(axis, sc.require("run", key), **_survival_kwargs(sc))
+
+
+# per-kind names, still called by perfbench/selftest.py
+run_wavelength_sweep_scenario = run_size_sweep_scenario = run_sweep_scenario
 
 
 def run_trajectory_scenario(sc: Scenario, rng=None):

@@ -19,6 +19,13 @@ from .trap import MotionTrace
 
 EXPOSURE_UNITS = ("seconds", "shutter_count")
 
+# a peak must beat the in-band median power by this factor: it sits well
+# above the ~log(bins) max/median ratio of pure noise, while real peaks
+# clear it by orders of magnitude
+PEAK_SNR_THRESHOLD = 25.0
+# fewest cycles of the band floor a trace must cover for a resolved peak
+MIN_CYCLES = 20.0
+
 
 @dataclass(frozen=True)
 class FrequencyTrace:
@@ -60,17 +67,13 @@ class FrequencyEstimate:
     bin_width: float     # Hz
 
 
-def estimate_secular_frequency(trace: MotionTrace, search_band: tuple,
-                               snr_threshold: float = 25.0,
-                               min_cycles: float = 20.0
+def estimate_secular_frequency(trace: MotionTrace, search_band: tuple
                                ) -> Optional[FrequencyEstimate]:
     """Locate the dominant spectral peak of a motion trace within a band.
 
     Hann-windowed periodogram on the largest power-of-two prefix, peak
     refined by quadratic interpolation of log power.  Returns None when no
-    peak beats ``snr_threshold`` times the in-band median power (the
-    default 25 sits well above the ~log(bins) max/median ratio of pure
-    noise while real peaks clear it by orders of magnitude).
+    peak beats PEAK_SNR_THRESHOLD times the in-band median power.
 
     Parameters
     ----------
@@ -84,10 +87,10 @@ def estimate_secular_frequency(trace: MotionTrace, search_band: tuple,
     n = len(trace.positions)
     if n < 16:
         raise ValueError("trace too short for spectral estimation")
-    if trace.duration * f_lo < min_cycles:
+    if trace.duration * f_lo < MIN_CYCLES:
         raise ValueError(
             f"trace covers {trace.duration * f_lo:.1f} cycles of the band floor, "
-            f"need >= {min_cycles}")
+            f"need >= {MIN_CYCLES}")
     n_fft = 1 << (n.bit_length() - 1)  # largest power of two <= n
     x = np.asarray(trace.positions[:n_fft], dtype=float)
     x = x - x.mean()
@@ -103,7 +106,7 @@ def estimate_secular_frequency(trace: MotionTrace, search_band: tuple,
     peak = band_idx[np.argmax(power[band_idx])]
     floor = float(np.median(power[band_idx]))
     snr = power[peak] / floor if floor > 0 else math.inf
-    if snr < snr_threshold:
+    if snr < PEAK_SNR_THRESHOLD:
         return None
 
     # quadratic interpolation on log power; fall back to the raw bin at edges
@@ -121,35 +124,29 @@ def estimate_secular_frequency(trace: MotionTrace, search_band: tuple,
 
 def synthesize_frequency_trace(traj: ChargeTrajectory, delta_f: float,
                                noise_sigma: float, sample_times,
-                               exposures=None, exposure_unit: str = "seconds",
                                seed: Optional[int] = 0,
-                               rng: Optional[np.random.Generator] = None,
-                               offset: float = 0.0) -> FrequencyTrace:
+                               rng: Optional[np.random.Generator] = None
+                               ) -> FrequencyTrace:
     """Frequency readings f = delta_f * |N_e| + noise along a trajectory.
 
-    ``sample_times`` are points on the trajectory's exposure clock at which
-    the charge is read; ``exposures`` supplies a different x axis (e.g.
-    shutter counts) when given.  Gaussian noise of ``noise_sigma`` is added
-    and readings are clipped at zero, since a measured oscillation frequency
-    cannot be negative.
+    ``sample_times`` are points on the trajectory's exposure clock (s) at
+    which the charge is read; they are also the trace's exposures.  Gaussian
+    noise of ``noise_sigma`` is added and readings are clipped at zero,
+    since a measured oscillation frequency cannot be negative.
     """
     if delta_f <= 0:
         raise ValueError("delta_f must be positive")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
     sample_times = np.asarray(sample_times, dtype=float)
-    if exposures is None:
-        exposures = sample_times
-    charges = np.abs(traj.charge_at(sample_times))
-    freqs = delta_f * charges + offset
+    freqs = delta_f * np.abs(traj.charge_at(sample_times))
     if noise_sigma > 0:
         if rng is None:
             rng = np.random.default_rng(seed)
         freqs = freqs + noise_sigma * rng.standard_normal(len(freqs))
     freqs = np.maximum(freqs, 0.0)
     errors = np.full(len(freqs), float(noise_sigma))
-    meta = {"delta_f": delta_f, "noise_sigma": noise_sigma, "offset": offset,
+    meta = {"delta_f": delta_f, "noise_sigma": noise_sigma,
             "initial_charge": traj.initial_charge, "seed": seed}
-    return FrequencyTrace(exposures=np.asarray(exposures, dtype=float),
-                          frequencies=freqs, errors=errors,
-                          exposure_unit=exposure_unit, metadata=meta)
+    return FrequencyTrace(exposures=sample_times, frequencies=freqs, errors=errors,
+                          metadata=meta)

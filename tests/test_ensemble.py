@@ -6,9 +6,7 @@ import pytest
 from ndtrap.core import Particle, TrapConfig, UVSource
 from ndtrap.ensemble import (SurvivalCurve, envelope_charge_sampler,
                              exponential_survival_curve, fixed_charge_sampler,
-                             lifetime_vs_size_sweep,
-                             lifetime_vs_wavelength_sweep,
-                             margin_charge_sampler, simulate_survival,
+                             lifetime_sweep, margin_charge_sampler, simulate_survival,
                              stable_charge_range)
 from ndtrap.fitters import DegenerateFitError, fit_exponential, fit_powerlaw, fit_sigmoid
 from ndtrap.photoemission import EmissionModel
@@ -97,9 +95,9 @@ def test_positive_particles_outlive_negative():
 
 
 def test_wavelength_sweep_spans_two_decades_monotone():
-    points = lifetime_vs_wavelength_sweep(
-        [264.0, 271.0, 279.0, 315.0], n0=200, particle_template=PARTICLE,
-        trap=RING, model=MODEL, source_template=LED, duration=25000.0,
+    points = lifetime_sweep(
+        "wavelength", [264.0, 271.0, 279.0, 315.0], n0=200, particle_template=PARTICLE,
+        trap=RING, model=MODEL, source=LED, duration=25000.0,
         seed=42, frame_rate=2.0, background_rate=1.25e-4)
     taus = [p.lifetime for p in points]
     assert all(not p.flags for p in points)
@@ -108,9 +106,9 @@ def test_wavelength_sweep_spans_two_decades_monotone():
 
 
 def test_wavelength_sweep_flat_below_threshold():
-    points = lifetime_vs_wavelength_sweep(
-        [250.0, 255.0, 260.0], n0=150, particle_template=PARTICLE, trap=RING,
-        model=MODEL, source_template=LED, duration=300.0, seed=6)
+    points = lifetime_sweep(
+        "wavelength", [250.0, 255.0, 260.0], n0=150, particle_template=PARTICLE, trap=RING,
+        model=MODEL, source=LED, duration=300.0, seed=6)
     taus = np.array([p.lifetime for p in points])
     errs = np.array([p.lifetime_error for p in points])
     assert np.ptp(taus) <= 3 * errs.max()
@@ -118,9 +116,9 @@ def test_wavelength_sweep_flat_below_threshold():
 
 def test_wavelength_sweep_recovers_center():
     lams = [255, 262, 268, 272, 276, 279, 282, 285, 288, 292, 297, 304, 312, 320]
-    points = lifetime_vs_wavelength_sweep(
-        lams, n0=150, particle_template=PARTICLE, trap=RING, model=MODEL,
-        source_template=LED, duration=25000.0, seed=77, frame_rate=2.0,
+    points = lifetime_sweep(
+        "wavelength", lams, n0=150, particle_template=PARTICLE, trap=RING, model=MODEL,
+        source=LED, duration=25000.0, seed=77, frame_rate=2.0,
         background_rate=1.25e-4)
     good = [p for p in points if not p.flags]
     fit = fit_sigmoid([p.x for p in good], [p.lifetime for p in good],
@@ -136,8 +134,8 @@ DIAMETERS = [75e-9, 150e-9, 300e-9, 600e-9, 1200e-9]
 
 def run_size_sweep(alpha, seed):
     model = EmissionModel.from_width(rate_scale=0.8629, size_exponent=alpha)
-    return lifetime_vs_size_sweep(
-        DIAMETERS, n0=150, particle_template=PARTICLE, trap=SIZE_TRAP,
+    return lifetime_sweep(
+        "diameter", DIAMETERS, n0=150, particle_template=PARTICLE, trap=SIZE_TRAP,
         model=model, source=LED, duration=6000.0, seed=seed, frame_rate=2.0,
         charge_sampler=margin_charge_sampler(8, 32))
 
@@ -152,8 +150,8 @@ def test_size_sweep_recovers_exponent(alpha, expected):
 
 
 def test_size_sweep_single_diameter_underdetermined():
-    points = lifetime_vs_size_sweep(
-        [300e-9], n0=60, particle_template=PARTICLE, trap=SIZE_TRAP,
+    points = lifetime_sweep(
+        "diameter", [300e-9], n0=60, particle_template=PARTICLE, trap=SIZE_TRAP,
         model=EmissionModel.from_width(rate_scale=0.8629), source=LED,
         duration=500.0, seed=3, charge_sampler=margin_charge_sampler(8, 32))
     assert len(points) == 1
@@ -163,9 +161,9 @@ def test_size_sweep_single_diameter_underdetermined():
 
 def test_sweep_flags_failed_fit_and_continues():
     dark = UVSource(mode="continuous", wavelength=264.0, intensity=0.0)
-    points = lifetime_vs_wavelength_sweep(
-        [264.0, 280.0, 300.0], n0=30, particle_template=PARTICLE, trap=RING,
-        model=MODEL, source_template=dark, duration=50.0, seed=5)
+    points = lifetime_sweep(
+        "wavelength", [264.0, 280.0, 300.0], n0=30, particle_template=PARTICLE, trap=RING,
+        model=MODEL, source=dark, duration=50.0, seed=5)
     assert len(points) == 3
     assert all("no_decay" in p.flags for p in points)
 
