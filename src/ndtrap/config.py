@@ -49,7 +49,6 @@ _SECTION_KEYS = {
     "uv": {
         "mode": ("str", "continuous", "pulsed"),
         "wavelength": ("quantity", "wavelength"),
-        "bandwidth": ("quantity", "wavelength"),
         "intensity": ("quantity", "intensity"),
         "average_power": ("quantity", "power"),
         "repetition_rate": ("quantity", "frequency"),
@@ -155,7 +154,6 @@ class Scenario:
         return UVSource(
             mode=mode,
             wavelength=self.require("uv", "wavelength"),
-            bandwidth=self.get("uv", "bandwidth", 0.0),
             intensity=self.get("uv", "intensity", 0.0),
             average_power=self.get("uv", "average_power", 0.0),
             repetition_rate=self.get("uv", "repetition_rate", 0.0),

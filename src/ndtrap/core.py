@@ -152,12 +152,11 @@ class TrapConfig:
 class UVSource:
     """A UV illumination source, continuous (LED) or pulsed (Q-switched laser).
 
-    Wavelength and bandwidth are in nm; powers in W; intensity in W/m^2.
+    Wavelength in nm; powers in W; intensity in W/m^2.
     """
 
     mode: str                      # "continuous" | "pulsed"
     wavelength: float              # nm
-    bandwidth: float = 0.0         # nm FWHM
     intensity: float = 0.0         # W/m^2, continuous mode
     average_power: float = 0.0     # W, pulsed mode
     repetition_rate: float = 0.0   # Hz, pulsed mode
@@ -169,8 +168,6 @@ class UVSource:
             raise ValueError(f"mode must be 'continuous' or 'pulsed', got {self.mode!r}")
         if not (100.0 <= self.wavelength <= 1000.0):
             raise ValueError(f"wavelength {self.wavelength} nm outside [100, 1000] nm")
-        if self.bandwidth < 0:
-            raise ValueError("bandwidth must be >= 0")
         for name in ("intensity", "average_power", "repetition_rate",
                      "pulse_duration", "spot_diameter"):
             if getattr(self, name) < 0:

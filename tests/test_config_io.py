@@ -85,6 +85,16 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario_text("[scenario]\nname = a\nkind = survival\n")  # no seed
 
 
+def test_uv_bandwidth_rejected():
+    # no physics reads a source line width, so a configured one must not pass silently
+    text = MINIMAL.replace("mode = continuous", "mode = continuous\nbandwidth = 5 nm")
+    line = text.splitlines().index("bandwidth = 5 nm") + 1
+    with pytest.raises(ConfigError) as err:
+        parse_scenario_text(text)
+    assert err.value.line == line
+    assert f"line {line}" in str(err.value) and "bandwidth" in str(err.value)
+
+
 def test_wavelength_list_parsing():
     sc = parse_scenario_text(MINIMAL + "\nwavelengths = 255 264 315 nm\n")
     assert sc.get("run", "wavelengths") == [255.0, 264.0, 315.0]

@@ -115,7 +115,7 @@ def test_trap_config_validation():
 
 
 def test_uv_source_continuous():
-    s = UVSource(mode="continuous", wavelength=264.0, bandwidth=5.0, intensity=10.0)
+    s = UVSource(mode="continuous", wavelength=264.0, intensity=10.0)
     assert s.average_intensity == 10.0
     with pytest.raises(ValueError):
         UVSource(mode="continuous", wavelength=50.0)

@@ -15,7 +15,7 @@ PARTICLE = Particle(radius=0.5e-6, charge_count=-1)
 RING = TrapConfig(voltage_amplitude=2250.0, drive_frequency=140.0,
                   characteristic_radius=3e-3, geometry_factor=0.05,
                   pressure_torr=760.0)
-LED = UVSource(mode="continuous", wavelength=264.0, bandwidth=5.0, intensity=10.0)
+LED = UVSource(mode="continuous", wavelength=264.0, intensity=10.0)
 MODEL = EmissionModel.from_width(rate_scale=2.565101805649302)
 
 

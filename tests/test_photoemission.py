@@ -12,7 +12,7 @@ from ndtrap.photoemission import (ChargeTrajectory, EmissionModel, PulseTrain,
                                   pick_pulses, required_intensity_scaling,
                                   simulate_charge_trajectory, spot_for_power)
 
-LED = UVSource(mode="continuous", wavelength=264.0, bandwidth=5.0, intensity=10.0)
+LED = UVSource(mode="continuous", wavelength=264.0, intensity=10.0)
 REF_PARTICLE = Particle(radius=0.5e-6, charge_count=-50)
 
 
