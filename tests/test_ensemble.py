@@ -159,6 +159,17 @@ def test_size_sweep_single_diameter_underdetermined():
         fit_powerlaw([points[0].x], [points[0].lifetime])
 
 
+def test_sweep_axis_table_checks():
+    common = dict(n0=10, particle_template=PARTICLE, trap=RING, model=MODEL,
+                  source=LED, duration=10.0, seed=1)
+    with pytest.raises(ValueError, match="unknown sweep axis"):
+        lifetime_sweep("size", [300e-9], **common)
+    with pytest.raises(ValueError, match="at least 3"):
+        lifetime_sweep("wavelength", [264.0, 280.0], **common)
+    with pytest.raises(ValueError, match="at least 1"):
+        lifetime_sweep("diameter", [], **common)
+
+
 def test_sweep_flags_failed_fit_and_continues():
     dark = UVSource(mode="continuous", wavelength=264.0, intensity=0.0)
     points = lifetime_sweep(
