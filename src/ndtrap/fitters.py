@@ -228,7 +228,6 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     if len(np.unique(t)) < 3:
         raise DegenerateFitError("need at least 3 distinct times after UV on")
     span = float(t[-1] - t[0]) if t[-1] > t[0] else 1.0
-    is_counts = bool(np.all(y == np.round(y)))
 
     pos = y > 0
     if pos.sum() >= 2 and np.ptp(y[pos]) > 0:
@@ -250,7 +249,7 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     tau = result.parameters["tau"]
     if tau > NO_DECAY_SPAN_FACTOR * span or tau <= 0:
         result.flags = tuple(dict.fromkeys(result.flags + ("no_decay",)))
-    if is_counts:
+    if np.all(y == np.round(y)):
         deaths = float(np.max(y) - np.min(y))
         if deaths > 0 and tau > 0:
             result.errors["tau"] = abs(tau) / math.sqrt(deaths)
