@@ -1,5 +1,6 @@
 """Trap physics: stability parameter, secular frequency, damping, integrator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from ndtrap.core import Particle, TrapConfig
 from ndtrap.signal import estimate_secular_frequency
-from ndtrap.trap import (MotionTrace, ParticleLost, damping_rate,
-                         find_mathieu_boundary, integrate_harmonic,
+from ndtrap.trap import (MotionTrace, ParticleLost, _integrate_linear_oscillator,
+                         _mathieu_stiffness_table, damping_rate,
+                         find_mathieu_boundary,
                          integrate_mathieu, integrate_motion, is_stable,
                          secular_frequency, stability_parameter,
                          stability_report)
@@ -19,6 +21,50 @@ RING_TRAP = TrapConfig(voltage_amplitude=2250.0, drive_frequency=140.0,
 
 def micron_particle(charge):
     return Particle(radius=0.5e-6, charge_count=charge)
+
+
+def rk4_reference(stiffness_table, dt, n_steps, damping, x0, v0,
+                  escape_radius=None):
+    """Plain stepwise RK4 for x'' + damping x' + k(t) x = 0, the reference
+    for the integrator's noise-free path.
+
+    Same table convention and escape test as
+    ``trap._integrate_linear_oscillator``; returns (positions at every step
+    before any escape, lost, escape_step, final_state).
+    """
+    tab = [float(s) for s in stiffness_table]
+    m = len(tab)
+    g = float(damping)
+    x, v = float(x0), float(v0)
+    out = [x]
+    for step in range(n_steps):
+        j = (2 * step) % m
+        s0, s1, s2 = tab[j], tab[(j + 1) % m], tab[(j + 2) % m]
+        k1x, k1v = v, -s0 * x - g * v
+        x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
+        k2x, k2v = v2, -s1 * x2 - g * v2
+        x3, v3 = x + 0.5 * dt * k2x, v + 0.5 * dt * k2v
+        k3x, k3v = v3, -s1 * x3 - g * v3
+        x4, v4 = x + dt * k3x, v + dt * k3v
+        k4x, k4v = v4, -s2 * x4 - g * v4
+        x += dt / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        v += dt / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v)
+        if escape_radius is not None and abs(x) > escape_radius:
+            return np.asarray(out), True, step + 1, (x, v)
+        out.append(x)
+    return np.asarray(out), False, -1, (x, v)
+
+
+def integrate_harmonic(omega, cycles, x0=1.0, v0=0.0, steps_per_cycle=450):
+    """RK4 on x'' + omega^2 x = 0 through the trap integrator; the constant
+    stiffness is passed as a one-cycle table.  Returns the final (x, v)
+    after ``cycles`` full periods."""
+    dt = 2.0 * math.pi / (omega * steps_per_cycle)
+    n_steps = int(round(cycles)) * steps_per_cycle
+    _, _, _, final = _integrate_linear_oscillator(
+        [omega * omega] * (2 * steps_per_cycle), dt, n_steps, 0.0, x0, v0,
+        sample_stride=n_steps)
+    return final
 
 
 def test_stability_parameter_pinned():
@@ -123,9 +169,35 @@ def test_harmonic_energy_conservation():
     assert abs(e1 - e0) / e0 < 1e-6
 
 
+@pytest.mark.parametrize("damping", [0.0, 0.05])
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.7, 0.95])
+def test_noise_free_path_matches_stepwise_rk4(q, damping):
+    # 120 drive periods plus a partial one at Omega = 2 pi; q = 0.95 grows
+    # ~1.8x per period and escapes in the second block of periods
+    n = 256
+    tab = _mathieu_stiffness_table(q, 2.0 * math.pi, n)
+    n_steps = 120 * n + 37
+    radius = 1e20
+    ref, ref_lost, ref_step, ref_final = rk4_reference(
+        tab, 1.0 / n, n_steps, damping, 1.0, 0.3, escape_radius=radius)
+    assert ref_lost == (q > 0.908)
+    scale = np.max(np.abs(ref))
+    for stride in (1, 64, 256):
+        xs, lost, step, final = _integrate_linear_oscillator(
+            tab, 1.0 / n, n_steps, damping, 1.0, 0.3, escape_radius=radius,
+            sample_stride=stride)
+        assert (lost, step) == (ref_lost, ref_step)
+        expected = ref[::stride]
+        assert xs.shape == expected.shape
+        assert np.max(np.abs(xs - expected)) <= 1e-12 * scale
+        assert np.allclose(final, ref_final, rtol=1e-12, atol=0.0)
+
+
 def test_mathieu_boundary_location():
     q_star = find_mathieu_boundary()
     assert q_star == pytest.approx(0.908, abs=0.01)
+    # the bisection's exact end point, pinned from the stepwise integrator
+    assert q_star == 0.90771484375
 
 
 def test_integrate_motion_unstable_q_reports_lost():
@@ -133,6 +205,8 @@ def test_integrate_motion_unstable_q_reports_lost():
     result = integrate_motion(micron_particle(100), RING_TRAP, duration=1.0)
     assert isinstance(result, ParticleLost)
     assert result.escape_time > 0
+    # |x| first exceeds 100 r0 after step 607 at 256 steps per 140 Hz period
+    assert result.escape_time == 0.016936383928571427
     assert result.q == pytest.approx(5.617, rel=1e-3)
 
 
@@ -179,6 +253,20 @@ def test_integrate_motion_thermal_noise_reproducible():
     c = integrate_motion(p, trap, duration=0.5, damping=20.0,
                          thermal_noise=True, rng_seed=43)
     assert not np.array_equal(a.positions, c.positions)
+
+
+def test_integrate_motion_thermal_trace_pinned():
+    # the thermal-noise path is the stepwise RK4 loop; its trace at a fixed
+    # seed is pinned byte for byte
+    p = Particle(radius=0.5e-6, charge_count=100)
+    trap = TrapConfig(voltage_amplitude=2250.0, drive_frequency=140.0,
+                      characteristic_radius=3e-3, geometry_factor=0.005)
+    trace = integrate_motion(p, trap, duration=0.2, damping=20.0,
+                             thermal_noise=True, rng_seed=42)
+    assert len(trace.positions) == 7169
+    digest = hashlib.sha256(trace.positions.astype("<f8").tobytes()).hexdigest()
+    assert digest == ("e4e705d75f30b6c636f36bf90fb4586c"
+                      "10b1f53b694a2bd855875091d62dc20c")
 
 
 def test_motion_trace_rejects_nonfinite():
