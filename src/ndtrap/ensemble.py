@@ -23,6 +23,9 @@ from .photoemission import EmissionModel, emission_rate, simulate_charge_traject
 
 DEFAULT_FRAME_RATE = 10.0  # Hz, CCD-video style sampling
 
+ESCAPE_CHECK_PERIODS = 400.0
+ESCAPE_CHECK_GROWTH = 1e4
+
 
 @dataclass(frozen=True)
 class SurvivalCurve:
@@ -113,11 +116,10 @@ def fixed_charge_sampler(charge_count: int) -> ChargeSampler:
     return sampler
 
 
-def integrated_escape_check(particle: Particle, trap: TrapConfig,
-                            periods: float = 400.0,
-                            growth_factor: float = 1e4) -> bool:
-    """Opt-in high-fidelity loss check: integrate the driven motion and
-    report whether it diverges.
+def integrated_escape_check(particle: Particle, trap: TrapConfig) -> bool:
+    """Opt-in high-fidelity loss check: integrate the driven motion for
+    ESCAPE_CHECK_PERIODS drive periods from x0 = 0.01 r0 and report whether
+    |x| grows by ESCAPE_CHECK_GROWTH.
 
     The production loss criterion is the algebraic band check; this spot
     check confirms the dynamical side of it.  Note that only the upper band
@@ -129,9 +131,9 @@ def integrated_escape_check(particle: Particle, trap: TrapConfig,
     from .trap import integrate_mathieu, stability_parameter
     q = stability_parameter(particle, trap)
     _, _, lost, _ = integrate_mathieu(
-        q, trap.drive_frequency, periods / trap.drive_frequency,
+        q, trap.drive_frequency, ESCAPE_CHECK_PERIODS / trap.drive_frequency,
         x0=0.01 * trap.characteristic_radius,
-        escape_radius=growth_factor * 0.01 * trap.characteristic_radius,
+        escape_radius=ESCAPE_CHECK_GROWTH * 0.01 * trap.characteristic_radius,
         sample_stride=10_000)
     return lost
 

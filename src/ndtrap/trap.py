@@ -30,6 +30,17 @@ FIRST_ORDER_Q_LIMIT = 0.4
 
 MIN_STEPS_PER_PERIOD = 200
 
+# find_mathieu_boundary: bisection bracket and tolerance on q, and a probe's
+# length in drive periods and the growth of |x| that counts as unstable
+BOUNDARY_BRACKET = (0.5, 1.5)
+BOUNDARY_TOLERANCE = 1e-3
+BOUNDARY_PERIODS = 600
+BOUNDARY_GROWTH = 1e4
+
+# noise-free motion goes in blocks of whole drive periods whose per-step
+# positions fill about this many float64 values (128 KB)
+BLOCK_STEPS = 16_384
+
 
 def stability_parameter(particle: Particle, trap: TrapConfig) -> float:
     """Dimensionless q for this particle in this trap (sign of charge ignored)."""
@@ -80,14 +91,12 @@ def stability_report(particle: Particle, trap: TrapConfig) -> StabilityReport:
 
 
 def damping_rate(particle: Particle, pressure_torr: float,
-                 gas_temperature: float = ROOM_TEMPERATURE,
-                 gas_molecule_mass: float = AIR_MOLECULE_MASS,
                  reflection: str = "diffuse") -> float:
     """Free-molecular (Epstein) velocity damping rate gamma in 1/s.
 
-    gamma = delta * P * sqrt(8 m_gas / (pi kB T)) / (radius * density),
-    linear in pressure, with delta = 1 + pi/8 for diffuse reflection
-    (Epstein's accommodated case) or 1 for specular.
+    gamma = delta * P * sqrt(8 m_gas / (pi kB T)) / (radius * density)
+    for air at room temperature, linear in pressure, with delta = 1 + pi/8
+    for diffuse reflection (Epstein's accommodated case) or 1 for specular.
     """
     if pressure_torr < 0:
         raise ValueError("pressure must be >= 0")
@@ -100,7 +109,7 @@ def damping_rate(particle: Particle, pressure_torr: float,
     else:
         raise ValueError(f"reflection must be 'diffuse' or 'specular', got {reflection!r}")
     pressure_pa = torr_to_pa(pressure_torr)
-    speed_factor = math.sqrt(8.0 * gas_molecule_mass / (math.pi * BOLTZMANN * gas_temperature))
+    speed_factor = math.sqrt(8.0 * AIR_MOLECULE_MASS / (math.pi * BOLTZMANN * ROOM_TEMPERATURE))
     return delta * pressure_pa * speed_factor / (particle.radius * particle.material_density)
 
 
@@ -138,12 +147,24 @@ def _integrate_linear_oscillator(stiffness_table, dt, n_steps, damping,
                                  escape_radius=None, sample_stride=1):
     """Fixed-step RK4 for x'' + damping x' + k(t) x = noise.
 
-    ``stiffness_table`` holds k(t) sampled on the half-step grid; it is
-    indexed modulo its length, so a periodic stiffness needs exactly
-    2 * steps_per_period entries and a constant one a single entry.
-    Returns (positions, lost, escape_step, final_state); positions includes
-    t = 0 and is sampled every ``sample_stride`` steps.
+    ``stiffness_table`` holds k(t) sampled on the half-step grid of one
+    period of the stiffness, 2 * steps_per_period entries, and repeats with
+    that period (a constant stiffness is passed as one period of constant
+    entries).  With thermal kicks (``kick_sigma > 0``) the motion is stepped
+    one RK4 step at a time.  Without them RK4 on this linear equation is a
+    fixed 2x2 matrix per step, repeating every period, so the motion is
+    advanced by the period map; see ``_advance_by_period_map``.  Either way
+    every step is tested for escape.  Returns (positions, lost, escape_step,
+    final_state); positions includes t = 0 and is sampled every
+    ``sample_stride`` steps.
     """
+    if len(stiffness_table) % 2:
+        raise ValueError("stiffness table must cover one period of half-steps")
+    if kick_sigma <= 0.0:
+        return _advance_by_period_map(stiffness_table, dt, n_steps, damping,
+                                      x0, v0, escape_radius, sample_stride)
+    if rng is None:
+        raise ValueError("thermal kicks need an rng")
     tab = [float(s) for s in stiffness_table]
     m = len(tab)
     g = float(damping)
@@ -152,10 +173,7 @@ def _integrate_linear_oscillator(stiffness_table, dt, n_steps, damping,
     half = 0.5 * dt
     sixth = dt / 6.0
     out = [x]
-    kick = kick_sigma > 0.0
-    if kick and rng is None:
-        raise ValueError("thermal kicks need an rng")
-    normals = rng.standard_normal(n_steps) if kick else None
+    normals = rng.standard_normal(n_steps)
     for step in range(n_steps):
         j = (2 * step) % m
         s0 = tab[j]
@@ -177,13 +195,88 @@ def _integrate_linear_oscillator(stiffness_table, dt, n_steps, damping,
         k4v = -s2 * x4 - g * v4
         x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
         v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
-        if kick:
-            v += kick_sigma * normals[step]
+        v += kick_sigma * normals[step]
         if escape_radius is not None and abs(x) > escape_radius:
             return np.asarray(out), True, step + 1, (x, v)
         if (step + 1) % sample_stride == 0:
             out.append(x)
     return np.asarray(out), False, -1, (x, v)
+
+
+def _period_products(stiffness_table, dt, damping):
+    """Running products Phi_j = S_j ... S_1 (j = 1 .. steps_per_period) of
+    the RK4 step matrices over one period of the table, as four arrays of
+    entries (p00, p01, p10, p11); the last Phi is the period map M.
+
+    Column c of S_j is one RK4 step from the unit state e_c.  Everything is
+    elementwise arithmetic, so the result does not depend on a BLAS build.
+    """
+    k = np.asarray(stiffness_table, dtype=float)
+    s0, s1 = k[0::2], k[1::2]
+    s2 = np.roll(s0, -1)
+    g = float(damping)
+    cols = []
+    for x, v in ((1.0, 0.0), (0.0, 1.0)):
+        k1x, k1v = v, -s0 * x - g * v
+        x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
+        k2x, k2v = v2, -s1 * x2 - g * v2
+        x3, v3 = x + 0.5 * dt * k2x, v + 0.5 * dt * k2v
+        k3x, k3v = v3, -s1 * x3 - g * v3
+        x4, v4 = x + dt * k3x, v + dt * k3v
+        k4x, k4v = v4, -s2 * x4 - g * v4
+        cols.append((x + dt / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
+                     v + dt / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v)))
+    (p00, p10), (p01, p11) = cols
+    # inclusive prefix product, later steps on the left, in log2(n) rounds
+    n = len(s0)
+    shift = 1
+    while shift < n:
+        a00, a01, a10, a11 = p00[shift:], p01[shift:], p10[shift:], p11[shift:]
+        b00, b01, b10, b11 = p00[:-shift], p01[:-shift], p10[:-shift], p11[:-shift]
+        p00[shift:], p01[shift:], p10[shift:], p11[shift:] = (
+            a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+        shift *= 2
+    return p00, p01, p10, p11
+
+
+def _advance_by_period_map(stiffness_table, dt, n_steps, damping, x0, v0,
+                           escape_radius, sample_stride):
+    """Noise-free RK4 by whole periods: y <- M y once per period, and the
+    position after step j of a period as row 0 of Phi_j applied to the state
+    at the period's start.  Periods go in blocks of about BLOCK_STEPS steps,
+    so temporaries stay small and only the strided samples are kept."""
+    p00, p01, p10, p11 = _period_products(stiffness_table, dt, damping)
+    n = len(p00)
+    m00, m01, m10, m11 = (float(p[-1]) for p in (p00, p01, p10, p11))
+    x, v = float(x0), float(v0)
+    chunks = [np.array([x])]
+    final = (x, v)
+    block = max(1, BLOCK_STEPS // n)
+    done = 0                          # steps before the current block
+    while done < n_steps:
+        starts = []
+        for _ in range(min(block, -(-(n_steps - done) // n))):
+            starts.append((x, v))
+            x, v = m00 * x + m01 * v, m10 * x + m11 * v
+            if escape_radius is not None and abs(x) > escape_radius:
+                break                 # the escape lies in this block
+        y = np.array(starts)
+        # positions after steps done + 1, done + 2, ... of this block
+        pos = (y[:, :1] * p00 + y[:, 1:] * p01).ravel()[:n_steps - done]
+        first = (-done - 1) % sample_stride
+        hit = (np.flatnonzero(np.abs(pos) > escape_radius)
+               if escape_radius is not None else ())
+        last = hit[0] if len(hit) else len(pos) - 1
+        period, j = divmod(int(last), n)
+        xk, vk = starts[period]
+        final = (float(p00[j] * xk + p01[j] * vk), float(p10[j] * xk + p11[j] * vk))
+        if len(hit):
+            chunks.append(pos[first:last:sample_stride])
+            return np.concatenate(chunks), True, done + last + 1, final
+        chunks.append(pos[first::sample_stride])
+        done += len(pos)
+    return np.concatenate(chunks), False, -1, final
 
 
 def _mathieu_stiffness_table(q, omega, steps_per_period):
@@ -221,24 +314,9 @@ def integrate_mathieu(q, drive_frequency, duration, damping=0.0,
     return times, xs, False, None
 
 
-def integrate_harmonic(omega, cycles, x0=1.0, v0=0.0, steps_per_cycle=450):
-    """RK4 on the plain harmonic oscillator x'' + omega^2 x = 0.
-
-    Runs the same integrator core as the Mathieu path with a constant
-    stiffness table; exists as an integrator sanity check.  Returns the
-    final (x, v) after ``cycles`` full periods.
-    """
-    dt = 2.0 * math.pi / (omega * steps_per_cycle)
-    n_steps = int(round(cycles)) * steps_per_cycle
-    _, _, _, final = _integrate_linear_oscillator(
-        [omega * omega], dt, n_steps, 0.0, x0, v0, sample_stride=n_steps)
-    return final
-
-
 def integrate_motion(particle: Particle, trap: TrapConfig, duration: float,
                      damping: float = 0.0, rng_seed: int = 0,
                      thermal_noise: bool = False,
-                     gas_temperature: float = ROOM_TEMPERATURE,
                      x0: Optional[float] = None, v0: float = 0.0,
                      steps_per_period: int = 256,
                      sample_rate: Optional[float] = None
@@ -247,7 +325,7 @@ def integrate_motion(particle: Particle, trap: TrapConfig, duration: float,
 
     Fixed-step RK4 at >= 200 steps per drive period, bit-reproducible for a
     given seed.  With thermal_noise on, a white force with variance set by
-    the fluctuation-dissipation theorem at ``gas_temperature`` is applied.
+    the fluctuation-dissipation theorem at room temperature is applied.
     Divergence beyond 100 r0 reports ParticleLost with the escape time
     instead of emitting a trace.
     """
@@ -263,7 +341,7 @@ def integrate_motion(particle: Particle, trap: TrapConfig, duration: float,
     kick_sigma = 0.0
     rng = None
     if thermal_noise and damping > 0.0:
-        kick_sigma = math.sqrt(2.0 * damping * BOLTZMANN * gas_temperature
+        kick_sigma = math.sqrt(2.0 * damping * BOLTZMANN * ROOM_TEMPERATURE
                                / particle.mass * dt)
         rng = np.random.default_rng(rng_seed)
     meta = {
@@ -286,27 +364,24 @@ def integrate_motion(particle: Particle, trap: TrapConfig, duration: float,
                        positions=xs, metadata=meta)
 
 
-def find_mathieu_boundary(q_lo: float = 0.5, q_hi: float = 1.5,
-                          tolerance: float = 1e-3, periods: float = 600,
-                          steps_per_period: int = 256,
-                          growth_factor: float = 1e4) -> float:
+def find_mathieu_boundary() -> float:
     """Locate the a = 0 Mathieu stability boundary by bisection on q.
 
-    A probe counts as unstable when |x| grows by ``growth_factor`` over
-    ``periods`` drive periods starting from x0 = 1, v0 = 0, no damping.
+    A probe counts as unstable when |x| grows by BOUNDARY_GROWTH over
+    BOUNDARY_PERIODS drive periods starting from x0 = 1, v0 = 0, no damping;
+    the bisection runs over BOUNDARY_BRACKET to BOUNDARY_TOLERANCE in q.
     The known boundary is q ~ 0.908.
     """
     def unstable(q):
         _, _, lost, _ = integrate_mathieu(
-            q, 1.0, periods, damping=0.0, x0=1.0, v0=0.0,
-            steps_per_period=steps_per_period, escape_radius=growth_factor,
-            sample_stride=steps_per_period)
+            q, 1.0, BOUNDARY_PERIODS, damping=0.0, x0=1.0, v0=0.0,
+            escape_radius=BOUNDARY_GROWTH, sample_stride=256)
         return lost
 
-    if unstable(q_lo) or not unstable(q_hi):
+    lo, hi = BOUNDARY_BRACKET
+    if unstable(lo) or not unstable(hi):
         raise ValueError("bracket does not straddle the stability boundary")
-    lo, hi = q_lo, q_hi
-    while hi - lo > tolerance:
+    while hi - lo > BOUNDARY_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if unstable(mid):
             hi = mid
