@@ -10,10 +10,9 @@ from ndtrap.core import Particle, TrapConfig
 from ndtrap.signal import estimate_secular_frequency
 from ndtrap.trap import (MotionTrace, ParticleLost, _integrate_linear_oscillator,
                          _mathieu_stiffness_table, damping_rate,
-                         find_mathieu_boundary,
-                         integrate_mathieu, integrate_motion, is_stable,
-                         secular_frequency, stability_parameter,
-                         stability_report)
+                         find_mathieu_boundary, integrate_mathieu,
+                         integrate_motion, is_stable, secular_frequency,
+                         stability_parameter, stability_report)
 
 RING_TRAP = TrapConfig(voltage_amplitude=2250.0, drive_frequency=140.0,
                        characteristic_radius=3e-3, geometry_factor=1.0)
@@ -167,6 +166,9 @@ def test_harmonic_energy_conservation():
     e0 = 0.5 * omega**2
     e1 = 0.5 * v * v + 0.5 * omega**2 * x * x
     assert abs(e1 - e0) / e0 < 1e-6
+    # a table that is not one period of half-steps is refused
+    with pytest.raises(ValueError):
+        _integrate_linear_oscillator([omega * omega], 0.01, 100, 0.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("damping", [0.0, 0.05])
