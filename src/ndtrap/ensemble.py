@@ -138,25 +138,21 @@ def integrated_escape_check(particle: Particle, trap: TrapConfig) -> bool:
     return lost
 
 
-def _death_time(rng, particle, trap, model, source, duration, uv_on_time,
-                background_rate):
-    """First time this particle's q leaves the band (or inf)."""
-    from .trap import is_stable, stability_parameter
-    c0 = particle.charge_count
-    q0 = stability_parameter(particle, trap)
-    if not is_stable(q0, trap.stability_band):
-        raise ValueError(f"initial charge {c0} is outside the stable band (q = {q0:.3g})")
-    t_bg = rng.exponential(1.0 / background_rate) if background_rate > 0 else math.inf
+def _death_time(rng, particle_template, charge, rate, exit_charge, duration,
+                uv_on_time, background_rate):
+    """First time a particle of this charge leaves the band (or inf).
 
-    # emission moves charge_count positive-ward, so it discharges a negative
-    # particle down through the band floor; positive particles do not emit
-    rate = emission_rate(model, source, particle) if c0 < 0 else 0.0
+    ``rate`` is the per-electron emission rate and ``exit_charge`` the first
+    charge below the band floor, both fixed by the template; emission moves
+    charge_count positive-ward, so it discharges a negative particle down
+    through the band floor, while positive particles do not emit.
+    """
+    t_bg = rng.exponential(1.0 / background_rate) if background_rate > 0 else math.inf
     t_uv = math.inf
-    if rate > 0 and uv_on_time < duration:
-        exit_charge = 1 - stable_charge_range(particle, trap)[0]
+    if charge < 0 and rate > 0 and uv_on_time < duration:
         traj = simulate_charge_trajectory(
-            particle, rate, duration - uv_on_time, direction="emit", rng=rng,
-            floor_charge=exit_charge)
+            particle_template.with_charge(charge), rate, duration - uv_on_time,
+            direction="emit", rng=rng, floor_charge=exit_charge)
         if traj.n_events and traj.final_charge == exit_charge:
             t_uv = uv_on_time + float(traj.times[-1])
     return min(t_bg, t_uv)
@@ -195,14 +191,20 @@ def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
         sign = -1 if particle_template.charge_count <= 0 else 1
         charge_sampler = envelope_charge_sampler(sign=sign)
 
+    # everything that does not depend on the drawn charge is fixed by the template
+    s_lo, s_hi = stable_charge_range(particle_template, trap)
+    rate = emission_rate(model, source, particle_template)
     deaths = np.empty(n0)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seqs = root.spawn(n0)
     for i in range(n0):
         rng = np.random.default_rng(seqs[i])
-        p = particle_template.with_charge(charge_sampler(rng, particle_template, trap))
-        deaths[i] = _death_time(rng, p, trap, model, source, duration,
-                                uv_on_time, background_rate)
+        charge = charge_sampler(rng, particle_template, trap)
+        if not s_lo <= abs(charge) <= s_hi:
+            raise ValueError(f"initial charge {charge} is outside the stable band "
+                             f"({s_lo} to {s_hi} e)")
+        deaths[i] = _death_time(rng, particle_template, charge, rate, 1 - s_lo,
+                                duration, uv_on_time, background_rate)
     meta = {"seed": seed if isinstance(seed, int) else str(seed),
             "wavelength": source.wavelength,
             "diameter": particle_template.diameter,

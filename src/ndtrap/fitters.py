@@ -3,8 +3,10 @@ exponential survival decay, wavelength sigmoid, size power law, and the
 discrete charge lattice f = delta_f * N_e.
 
 The core solver is a damped Gauss-Newton (Levenberg-Marquardt) with forward
-finite-difference Jacobians; models that admit closed forms (power law,
-the piecewise-quadratic lattice objective) use them directly.
+finite-difference Jacobians, used by the sigmoid; models that admit closed
+forms use them directly: the power law, the piecewise-quadratic lattice
+objective, and the exponential, whose least squares reduce to a 1-D profile
+over log tau built from per-run geometric sums.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def nls_fit(model: Callable, x, y, p0: Sequence[float],
         # overflow in a trial step is fine: the step is simply rejected
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r = sw * (y - np.asarray(model(x, *t), dtype=float))
-        return r, float(r @ r)
+            return r, float(r @ r)
 
     r, ssr = ssr_of(theta)
     lam = _LM_DAMPING_INIT
@@ -125,7 +127,7 @@ def nls_fit(model: Callable, x, y, p0: Sequence[float],
         a = jac.T @ jac
         g = jac.T @ r
         diag = np.diag(a).copy()
-        if np.all(diag == 0):
+        if not np.any(diag > 0):      # all zero, or none finite
             flags.append("singular_normal_equations")
             break
         diag[diag <= 0] = diag[diag > 0].min()
@@ -155,6 +157,8 @@ def nls_fit(model: Callable, x, y, p0: Sequence[float],
             break
 
     jac = sw[:, None] * _fd_jacobian(model, x, theta)
+    if not np.all(np.isfinite(jac)):
+        raise DegenerateFitError("the model's Jacobian is not finite at the fitted parameters")
     a = jac.T @ jac
     dof = n - p
     if dof > 0 and ssr >= 0:
@@ -204,6 +208,99 @@ def exponential_model(t, n0, tau):
 
 
 NO_DECAY_SPAN_FACTOR = 50.0  # tau beyond this many data spans counts as flat
+EVEN_GRID_TOLERANCE = 1e-9   # relative spread of time steps still read as one grid
+TAU_SEARCH_SPANS = 1e6       # tau is sought within [span / this, span * this]
+LOG_TAU_TOLERANCE = 1e-12    # Newton stops once log tau moves less than this
+
+
+def _geometric_moments(x: float, lengths: np.ndarray):
+    """Per run, the sums over k < L of r^k, k r^k and k^2 r^k with r = exp(-x).
+
+    From (1 - r) S1 = T - (L-1) r^L and (1 - r) S2 = 2 S1 - T - (L-1)^2 r^L,
+    where T = sum_{0<k<L} r^k.  T and 1 - r come from expm1, so slow decays
+    (x L << 1) keep their precision: the absolute error of x S1 and x^2 S2
+    stays near eps L.
+    """
+    one_minus_r = -math.expm1(-x)
+    m = lengths - 1.0
+    r_len = np.exp(-x * lengths)
+    tail = math.exp(-x) * -np.expm1(-x * m) / one_minus_r
+    s1 = (tail - m * r_len) / one_minus_r
+    s2 = (2.0 * s1 - tail - m * m * r_len) / one_minus_r
+    return 1.0 + tail, s1, s2
+
+
+def _decay_sums(runs, tau: float) -> tuple:
+    """Sums over every frame of y m, y m s, y m s^2, m^2, m^2 s and m^2 s^2,
+    with m = exp(-t/tau) and s = t/tau, from per-run closed forms.
+
+    ``runs`` is (start times, spacing, lengths, values): a run holds the
+    frames start + k * spacing, k < length, all with one value y.
+    """
+    starts, spacing, lengths, values = runs
+    sig = starts / tau
+    xi = spacing / tau
+    out = []
+    for power, weight in ((1, values), (2, 1.0)):
+        s0, s1, s2 = _geometric_moments(power * xi, lengths)
+        e = weight * np.exp(-power * sig)
+        out += [float(np.sum(e * s0)), float(np.sum(e * (sig * s0 + xi * s1))),
+                float(np.sum(e * (sig * sig * s0 + 2.0 * sig * xi * s1 + xi * xi * s2)))]
+    return tuple(out)
+
+
+def _profile_slope(runs, u: float) -> tuple:
+    """First and second derivative in u = log tau of the profile objective
+    -A^2/B, A = sum y m, B = sum m^2 (N0 = A/B minimises over N0), and A/B."""
+    a, a1, a2, b, b1, b2 = _decay_sums(runs, math.exp(u))
+    # d/du m = m s and d/du s = -s, so with A' = sum y m s, B' = 2 sum m^2 s:
+    da, d2a = a1, a2 - a1
+    db, d2b = 2.0 * b1, 4.0 * b2 - 2.0 * b1
+    n = a / b
+    grad = n * n * db - 2.0 * n * da
+    curv = (n * n * d2b - 2.0 * n * d2a - 2.0 * da * da / b
+            + 4.0 * n * da * db / b - 2.0 * n * n * db * db / b)
+    return grad, curv, n
+
+
+def _minimise_log_tau(runs, u0: float, u_lo: float, u_hi: float):
+    """Newton on the profile objective over log tau, kept inside the bracket
+    its gradient signs establish and never moving more than 1 (a factor e)
+    at once.  Returns (u, N0, iterations, where): ``where`` is "min" at an
+    interior minimum, "below" / "above" when the objective still falls at
+    the ends of [u_lo, u_hi], and "max_iterations" otherwise."""
+    lo, hi = -math.inf, math.inf
+    u = u0
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        grad, curv, n = _profile_slope(runs, u)
+        if grad > 0:
+            hi = u
+        else:
+            lo = u
+        step = -grad / curv if curv > 0 else -math.copysign(1.0, grad)
+        if abs(step) <= LOG_TAU_TOLERANCE:
+            return u, n, iterations, "min"
+        # a step leaving the bracket has both ends finite: it heads away from u's own end
+        nxt = u + max(-1.0, min(1.0, step))
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if abs(nxt - u) <= LOG_TAU_TOLERANCE:
+                return u, n, iterations, "min"
+        if nxt < u_lo or nxt > u_hi:
+            return u, n, iterations, "below" if nxt < u_lo else "above"
+        u = nxt
+    return u, n, MAX_ITERATIONS, "max_iterations"
+
+
+def _no_decay_result(y: np.ndarray) -> FitResult:
+    n0 = float(np.mean(y))
+    return FitResult(param_names=("n0", "tau"),
+                     parameters={"n0": n0, "tau": math.inf},
+                     errors={"n0": float(np.std(y)), "tau": math.inf},
+                     covariance=np.zeros((2, 2)), residual_norm=float(np.sum((y - n0) ** 2)),
+                     iterations=0, converged=True, dof=len(y) - 2,
+                     flags=("no_decay",),
+                     derived={"lifetime": math.inf, "lifetime_error": math.inf})
 
 
 def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
@@ -211,6 +308,14 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
 
     Times are measured from the UV turn-on.  Non-decaying data comes back
     converged with a very large tau and the ``no_decay`` flag.
+
+    The least-squares fit is exact and costs the curve's runs, not its
+    frames: on one evenly spaced grid the frames group into runs of equal
+    value (any other curve is fit frame by frame, as runs of length 1), N0
+    is linear with N0(tau) = A/B, and the profile objective -A^2/B is
+    minimised over log tau by Newton on its analytic derivatives, which are
+    per-run geometric sums.  The covariance is the least-squares one from
+    the same sums.
 
     On integer count data the tau standard error is the survival statistic
     tau / sqrt(observed deaths): the residual-based covariance badly
@@ -227,33 +332,54 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     y = y[mask]
     if len(np.unique(t)) < 3:
         raise DegenerateFitError("need at least 3 distinct times after UV on")
-    span = float(t[-1] - t[0]) if t[-1] > t[0] else 1.0
+    t0, span = float(np.min(t)), float(np.ptp(t))
 
     pos = y > 0
     if pos.sum() >= 2 and np.ptp(y[pos]) > 0:
-        slope, intercept = np.polyfit(t[pos], np.log(y[pos]), 1)
+        slope, _ = np.polyfit(t[pos], np.log(y[pos]), 1)
     else:
-        slope, intercept = 0.0, math.log(max(y.max(), 1.0))
+        slope = 0.0
     if slope >= -1e-12:
-        n0 = float(np.mean(y))
-        return FitResult(param_names=("n0", "tau"),
-                         parameters={"n0": n0, "tau": math.inf},
-                         errors={"n0": float(np.std(y)), "tau": math.inf},
-                         covariance=np.zeros((2, 2)), residual_norm=float(np.sum((y - n0) ** 2)),
-                         iterations=0, converged=True, dof=len(y) - 2,
-                         flags=("no_decay",),
-                         derived={"lifetime": math.inf, "lifetime_error": math.inf})
+        return _no_decay_result(y)
 
-    p0 = (math.exp(intercept), -1.0 / slope)
-    result = nls_fit(exponential_model, t, y, p0, param_names=("n0", "tau"))
-    tau = result.parameters["tau"]
-    if tau > NO_DECAY_SPAN_FACTOR * span or tau <= 0:
-        result.flags = tuple(dict.fromkeys(result.flags + ("no_decay",)))
+    spacing = (t[-1] - t[0]) / (len(t) - 1)
+    if spacing > 0 and np.all(np.abs(np.diff(t) - spacing) <= EVEN_GRID_TOLERANCE * spacing):
+        starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    else:
+        starts, spacing = np.arange(len(t)), 1.0   # a run of one frame has no spacing
+    lengths = np.diff(np.r_[starts, len(t)]).astype(float)
+    # N0 is free, so measuring time from the earliest frame leaves tau alone
+    # and keeps B >= 1 however short the trial tau
+    runs = (t[starts] - t0, spacing, lengths, y[starts])
+    u, n, iterations, where = _minimise_log_tau(
+        runs, math.log(-1.0 / slope), math.log(span / TAU_SEARCH_SPANS),
+        math.log(span * TAU_SEARCH_SPANS))
+    if where == "above":
+        return _no_decay_result(y)
+    tau = math.exp(u)
+    try:
+        n0 = n * math.exp(t0 / tau)
+    except OverflowError:
+        raise DegenerateFitError("N0 overflows: the first frame after UV on "
+                                 "lies hundreds of lifetimes after it") from None
+
+    resid = y - exponential_model(t, n0, tau)
+    ssr = float(np.sum(resid * resid))
+    dof = len(y) - 2
+    # J^T J of the model in (n0, tau): dm/dn0 = m / n0, dm/dtau = m s / tau
+    _, _, _, b, b1, b2 = _decay_sums((t[starts],) + runs[1:], tau)
+    g = n0 / tau
+    j00, j01, j11 = b, g * b1, g * g * b2
+    cov = np.array([[j11, -j01], [-j01, j00]]) * ((ssr / dof) / (j00 * j11 - j01 * j01))
+    flags = ("no_decay",) if tau > NO_DECAY_SPAN_FACTOR * span else ()
+    result = FitResult(param_names=("n0", "tau"), parameters={"n0": n0, "tau": tau},
+                       errors={"n0": math.sqrt(cov[0, 0]), "tau": math.sqrt(cov[1, 1])},
+                       covariance=cov, residual_norm=ssr, iterations=iterations,
+                       converged=where == "min", dof=dof, flags=flags)
     if np.all(y == np.round(y)):
         deaths = float(np.max(y) - np.min(y))
-        if deaths > 0 and tau > 0:
-            result.errors["tau"] = abs(tau) / math.sqrt(deaths)
-            result.covariance = result.covariance.copy()
+        if deaths > 0:
+            result.errors["tau"] = tau / math.sqrt(deaths)
             result.covariance[1, 1] = result.errors["tau"] ** 2
     result.derived["lifetime"] = tau
     result.derived["lifetime_error"] = result.errors["tau"]

@@ -21,6 +21,7 @@ import numpy as np
 from .core import Particle, UVSource
 
 DEFAULT_WIDTH_10_90 = 10.0  # nm
+TRAJECTORY_CHUNK = 65_536    # most exponential gaps drawn at once at a constant rate
 
 
 def _logistic_decreasing(u: float) -> float:
@@ -121,17 +122,44 @@ class ChargeTrajectory:
 RateFunction = Union[float, Callable[[float], float]]
 
 
+def _constant_rate_jumps(rng, rate, duration, c0, step, floor_charge):
+    """Jump times and charges at a constant rate, the exponential gaps drawn
+    in arrays of up to TRAJECTORY_CHUNK, never more than the floor allows.
+
+    Seeding each array's first gap with the running time makes cumsum add
+    in the order one draw per event would, so the times are the same bits.
+    """
+    times, charges = [], []
+    c, t = c0, 0.0
+    while True:
+        n = TRAJECTORY_CHUNK if floor_charge is None else min(TRAJECTORY_CHUNK,
+                                                              abs(floor_charge - c))
+        gaps = rng.exponential(1.0 / rate, n)
+        gaps[0] += t
+        chunk = np.cumsum(gaps)
+        k = int(np.searchsorted(chunk, duration))     # first time >= duration
+        times.append(chunk[:k])
+        charges.append(c + step * np.arange(1, k + 1))
+        c += step * k
+        t = float(chunk[-1])
+        if k < n or c == floor_charge:
+            return np.concatenate(times), np.concatenate(charges)
+
+
 def simulate_charge_trajectory(particle: Particle, rate_fn: RateFunction,
                                duration: float, direction: str = "emit",
                                seed: Optional[int] = 0,
                                rng: Optional[np.random.Generator] = None,
                                rate_max: Optional[float] = None,
                                floor_charge: Optional[int] = 0) -> ChargeTrajectory:
-    """Single-electron jump process via Poisson thinning.
+    """Single-electron jump process; a time-dependent rate by Poisson thinning.
 
     ``direction="emit"`` removes electrons (charge_count moves positive-ward),
     ``"capture"`` adds them (charge_count moves negative-ward).  The process
     stops at ``floor_charge`` (default 0 = neutrality) or at ``duration``.
+    A constant rate draws its exponential gaps as arrays (the same values, in
+    the same order, as one draw per event), so the generator may end up past
+    the draws the trajectory used.
 
     Parameters
     ----------
@@ -166,16 +194,18 @@ def simulate_charge_trajectory(particle: Particle, rate_fn: RateFunction,
 
     if rng is None:
         rng = np.random.default_rng(seed)
-    times = []
-    charges = []
     c = c0
-    if rate_max > 0 and (floor_charge is None or c != floor_charge):
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / rate_max)
-            if t >= duration:
-                break
-            if rate is not None:
+    times, charges = [], []
+    if rate_max > 0 and c != floor_charge:
+        if rate is None:
+            times, charges = _constant_rate_jumps(rng, rate_max, duration, c0, step,
+                                                  floor_charge)
+        else:
+            t = 0.0
+            while True:
+                t += rng.exponential(1.0 / rate_max)
+                if t >= duration:
+                    break
                 r = rate(t)
                 if r < 0:
                     raise ValueError(f"rate function returned {r} < 0 at t = {t}")
@@ -183,12 +213,13 @@ def simulate_charge_trajectory(particle: Particle, rate_fn: RateFunction,
                     raise ValueError("rate function exceeds its stated bound")
                 if rng.random() >= r / rate_max:
                     continue
-            c += step
-            times.append(t)
-            charges.append(c)
-            if floor_charge is not None and c == floor_charge:
-                break
-    return ChargeTrajectory(times=np.asarray(times), charges=np.asarray(charges, dtype=int),
+                c += step
+                times.append(t)
+                charges.append(c)
+                if c == floor_charge:
+                    break
+    return ChargeTrajectory(times=np.asarray(times, dtype=float),
+                            charges=np.asarray(charges, dtype=int),
                             initial_charge=c0, duration=duration, seed=seed)
 
 

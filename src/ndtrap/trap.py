@@ -14,6 +14,7 @@ practically trapped for q inside the configured band, default (0.1, 0.9).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -154,12 +155,15 @@ def _integrate_linear_oscillator(stiffness_table, dt, n_steps, damping,
     one RK4 step at a time.  Without them RK4 on this linear equation is a
     fixed 2x2 matrix per step, repeating every period, so the motion is
     advanced by the period map; see ``_advance_by_period_map``.  Either way
-    every step is tested for escape.  Returns (positions, lost, escape_step,
-    final_state); positions includes t = 0 and is sampled every
-    ``sample_stride`` steps.
+    every step is tested for escape: |x| beyond ``escape_radius``, or not
+    finite, which is where an unbounded motion overflows when no radius is
+    given.  Returns (positions, lost, escape_step, final_state); positions
+    includes t = 0 and is sampled every ``sample_stride`` steps.
     """
     if len(stiffness_table) % 2:
         raise ValueError("stiffness table must cover one period of half-steps")
+    if escape_radius is None:
+        escape_radius = sys.float_info.max
     if kick_sigma <= 0.0:
         return _advance_by_period_map(stiffness_table, dt, n_steps, damping,
                                       x0, v0, escape_radius, sample_stride)
@@ -196,7 +200,7 @@ def _integrate_linear_oscillator(stiffness_table, dt, n_steps, damping,
         x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
         v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
         v += kick_sigma * normals[step]
-        if escape_radius is not None and abs(x) > escape_radius:
+        if not abs(x) <= escape_radius:
             return np.asarray(out), True, step + 1, (x, v)
         if (step + 1) % sample_stride == 0:
             out.append(x)
@@ -240,12 +244,14 @@ def _period_products(stiffness_table, dt, damping):
     return p00, p01, p10, p11
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _advance_by_period_map(stiffness_table, dt, n_steps, damping, x0, v0,
                            escape_radius, sample_stride):
     """Noise-free RK4 by whole periods: y <- M y once per period, and the
     position after step j of a period as row 0 of Phi_j applied to the state
     at the period's start.  Periods go in blocks of about BLOCK_STEPS steps,
-    so temporaries stay small and only the strided samples are kept."""
+    so temporaries stay small and only the strided samples are kept.  A
+    position that overflows is not finite and counts as escaped."""
     p00, p01, p10, p11 = _period_products(stiffness_table, dt, damping)
     n = len(p00)
     m00, m01, m10, m11 = (float(p[-1]) for p in (p00, p01, p10, p11))
@@ -259,19 +265,19 @@ def _advance_by_period_map(stiffness_table, dt, n_steps, damping, x0, v0,
         for _ in range(min(block, -(-(n_steps - done) // n))):
             starts.append((x, v))
             x, v = m00 * x + m01 * v, m10 * x + m11 * v
-            if escape_radius is not None and abs(x) > escape_radius:
+            if not abs(x) <= escape_radius:
                 break                 # the escape lies in this block
         y = np.array(starts)
         # positions after steps done + 1, done + 2, ... of this block
         pos = (y[:, :1] * p00 + y[:, 1:] * p01).ravel()[:n_steps - done]
         first = (-done - 1) % sample_stride
-        hit = (np.flatnonzero(np.abs(pos) > escape_radius)
-               if escape_radius is not None else ())
-        last = hit[0] if len(hit) else len(pos) - 1
-        period, j = divmod(int(last), n)
+        inside = np.abs(pos) <= escape_radius
+        escaped = not inside.all()
+        last = int(np.argmin(inside)) if escaped else len(pos) - 1
+        period, j = divmod(last, n)
         xk, vk = starts[period]
         final = (float(p00[j] * xk + p01[j] * vk), float(p10[j] * xk + p11[j] * vk))
-        if len(hit):
+        if escaped:
             chunks.append(pos[first:last:sample_stride])
             return np.concatenate(chunks), True, done + last + 1, final
         chunks.append(pos[first::sample_stride])
@@ -294,6 +300,8 @@ def integrate_mathieu(q, drive_frequency, duration, damping=0.0,
 
     Dimensionless-friendly core used by integrate_motion and by the
     stability-boundary search.  Returns (times, positions, lost, escape_time).
+    Without ``escape_radius`` an unbounded motion is lost at the step where
+    |x| overflows.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")

@@ -3,6 +3,11 @@
 import importlib.resources
 import json
 
+import numpy as np
+import pytest
+from test_fitters import lm_exponential_fit
+
+from ndtrap import io
 from ndtrap.cli import main
 from ndtrap.config import serialize_scenario
 from ndtrap.runner import load_bundled_scenario
@@ -114,6 +119,39 @@ def test_fit_sigmoid_on_bundled_data(tmp_path):
     assert code == 0
     result = json.loads(out.read_text())
     assert abs(result["derived"]["center_wavelength"] - 280.0) <= 2.0
+
+
+def check_fit_exp(tmp_path, data, uv_on):
+    """``fit exp --band`` on a two-column CSV: tau as the LM reference on the
+    frames after UV on, and one band row per such frame."""
+    out, band = tmp_path / "exp.json", tmp_path / "band.csv"
+    code = main(["fit", "exp", str(data), "--out", str(out), "--band", str(band),
+                 "--uv-on", str(uv_on)])
+    assert code == 0
+    _, (t, y) = io.read_csv_columns(data)
+    keep = t >= uv_on
+    ref = lm_exponential_fit(t[keep] - uv_on, y[keep])
+    result = json.loads(out.read_text())
+    assert result["parameters"]["tau"] == pytest.approx(ref["tau"], rel=1e-6)
+    header, (x, fitted, sigma) = io.read_csv_columns(band)
+    assert header == ["x", "fit", "sigma"]
+    assert np.array_equal(x, t[keep] - uv_on)
+    assert np.all(np.isfinite(fitted)) and np.all(sigma > 0)
+
+
+def test_fit_exp_band_on_uneven_non_integer_csv(tmp_path):
+    rng = np.random.default_rng(11)
+    t = np.sort(rng.uniform(0.0, 40.0, 60))
+    y = 80.0 * np.exp(-t / 12.0) * (1 + 0.02 * rng.standard_normal(60))
+    data = tmp_path / "decay.csv"
+    io.write_csv(data, ["t_s", "signal"], [t, y])
+    check_fit_exp(tmp_path, data, uv_on=0.0)
+
+
+def test_fit_exp_band_on_bundled_survival_curve(tmp_path):
+    cfg = write_scenario(tmp_path, "fig5_decay")
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "sim")]) == 0
+    check_fit_exp(tmp_path, tmp_path / "sim" / "survival.csv", uv_on=20.0)
 
 
 def test_fit_empty_file_exit_2(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ndtrap import ensemble
 from ndtrap.ensemble import exponential_survival_curve
 from ndtrap.fitters import (DegenerateFitError, LatticeNotDetectedError,
                             _fd_jacobian, _lattice_objective,
@@ -14,6 +15,8 @@ from ndtrap.fitters import (DegenerateFitError, LatticeNotDetectedError,
                             exponential_model, fit_charge_lattice,
                             fit_exponential, fit_powerlaw, fit_sigmoid,
                             nls_fit, sigmoid_model)
+from ndtrap.runner import (load_bundled_scenario, run_survival_scenario,
+                           run_sweep_scenario)
 from ndtrap.signal import FrequencyTrace
 
 
@@ -67,6 +70,24 @@ def test_nls_nonconvergence_returns_best_so_far():
                   tolerance=1e-16)
     assert not res.converged
     assert math.isfinite(res.residual_norm)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(model=st.sampled_from(["exponential", "sigmoid", "line"]),
+       data=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e6, 1e6)),
+                     min_size=4, max_size=30),
+       p0=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+def test_nls_never_converges_to_nan(model, data, p0):
+    # whatever the data and start, a converged fit has finite parameters
+    fn, n_par = {"exponential": (exponential_model, 2), "sigmoid": (sigmoid_model, 4),
+                 "line": (lambda x, a, b: a * x + b, 2)}[model]
+    x, y = np.array(data).T
+    try:
+        res = nls_fit(fn, x, y, p0[:n_par])
+    except DegenerateFitError:
+        return
+    if res.converged:
+        assert all(math.isfinite(v) for v in res.parameters.values())
 
 
 def test_fd_jacobian_forward_vs_central():
@@ -160,6 +181,94 @@ def test_fit_exponential_estimator_consistency():
 def test_fit_exponential_needs_three_times():
     with pytest.raises(DegenerateFitError):
         fit_exponential(CurveStub([0.0, 1.0], [5, 4]))
+
+
+def lm_exponential_fit(t, y):
+    """The reference for fit_exponential: Levenberg-Marquardt (nls_fit) from
+    the log-linear start, on the frames after UV on with times from UV on."""
+    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+    pos = y > 0
+    slope, intercept = np.polyfit(t[pos], np.log(y[pos]), 1)
+    return nls_fit(exponential_model, t, y, (math.exp(intercept), -1.0 / slope),
+                   param_names=("n0", "tau"))
+
+
+def post_uv(curve):
+    keep = curve.times >= curve.uv_on_time
+    return curve.times[keep] - curve.uv_on_time, curve.n_alive[keep]
+
+
+def test_fit_exponential_matches_lm_on_figure_curves(monkeypatch):
+    # every survival curve reproduce fits for fig5, fig7 and fig8 at the
+    # default seeds: the run-length fit is the least-squares minimum LM
+    # approaches, so tau agrees and the residual is no larger
+    curves = [run_survival_scenario(load_bundled_scenario("fig5_decay"))]
+
+    def recording(curve):
+        curves.append(curve)
+        return fit_exponential(curve)
+    monkeypatch.setattr(ensemble, "fit_exponential", recording)
+    for name in ("fig7_sweep", "fig8_sweep"):
+        run_sweep_scenario(load_bundled_scenario(name))
+    assert len(curves) == 1 + 14 + 5
+    for curve in curves:
+        res = fit_exponential(curve)
+        ref = lm_exponential_fit(*post_uv(curve))
+        assert res.converged and ref.converged and not res.flags
+        assert res["tau"] == pytest.approx(ref["tau"], rel=1e-6)
+        assert res["n0"] == pytest.approx(ref["n0"], rel=1e-6)
+        assert res.residual_norm <= ref.residual_norm * (1 + 1e-12)
+        # least-squares n0 error from the analytic J^T J, as LM's from its
+        # finite-difference one
+        assert res.errors["n0"] == pytest.approx(ref.errors["n0"], rel=1e-4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n0=st.integers(1, 300),
+       drops=st.lists(st.integers(0, 8), min_size=2, max_size=80),
+       spacing=st.sampled_from([0.1, 0.25, 1.0, 7.0]),
+       start=st.sampled_from([0.0, 0.05, 3.0]))
+# LM converged 5e-12 above the minimum, tau 4e-6 away (tau ~ 380 spans)
+@example(n0=301, drops=[0] * 11 + [2], spacing=7.0, start=3.0)
+# equal residuals to rounding, tau 1.2e-6 apart (tau ~ 330 spans)
+@example(n0=191, drops=[1, 0, 0, 0, 0, 0, 0], spacing=7.0, start=0.05)
+def test_fit_exponential_property_vs_lm(n0, drops, spacing, start):
+    # integer survival curves on an even grid: the fit's residual is never
+    # above LM's, and tau agrees wherever LM converged to the same minimum.
+    # Each residual r_i is known to about eps |y_i| only, so near-exact fits
+    # (three points on one slope) also get the rounding floor
+    # 8 eps sqrt(ssr sum y^2) of the sum.  LM's convergence test (relative
+    # step and drop below 1e-10) can stop short where the objective is flat
+    # in tau: past NO_DECAY_SPAN_FACTOR spans (flagged no_decay) the data fix
+    # tau to no better than 1e-6, and where LM's residual is above the fit's
+    # LM is the one off the minimum
+    y = np.maximum(n0 - np.cumsum([0] + drops), 0)
+    t = start + spacing * np.arange(len(y))
+    res = fit_exponential(CurveStub(t, y))
+    pos = y > 0
+    if pos.sum() < 2 or np.ptp(y[pos]) == 0:
+        assert res.flags == ("no_decay",)      # no log-linear decay: no fit
+        return
+    ref = lm_exponential_fit(t, y)
+    floor = 8 * np.finfo(float).eps * math.sqrt(ref.residual_norm * float(np.sum(y * y)))
+    assert res.converged
+    assert res.residual_norm <= ref.residual_norm * (1 + 1e-12) + floor
+    if (ref.converged and "no_decay" not in res.flags
+            and ref.residual_norm <= res.residual_norm + floor):
+        assert res["tau"] == pytest.approx(ref["tau"], rel=1e-6)
+
+
+def test_fit_exponential_uneven_times_fit_frame_by_frame():
+    # unsorted, unevenly spaced, non-integer frames are runs of length one
+    rng = np.random.default_rng(4)
+    t = rng.uniform(0.0, 30.0, 40)
+    y = exponential_model(t, 50.0, 9.0) * (1 + 0.03 * rng.standard_normal(40))
+    res = fit_exponential(CurveStub(t, y))
+    order = np.argsort(t)
+    ref = lm_exponential_fit(t[order], y[order])
+    assert res["tau"] == pytest.approx(ref["tau"], rel=1e-6)
+    assert np.allclose(res.covariance, ref.covariance, rtol=1e-4)
+    assert res.residual_norm <= ref.residual_norm * (1 + 1e-12)
 
 
 # ----------------------------------------------------------- fit_sigmoid

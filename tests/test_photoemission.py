@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ndtrap import photoemission
 from ndtrap.core import Particle, UVSource
 from ndtrap.photoemission import (ChargeTrajectory, EmissionModel, PulseTrain,
                                   emission_rate, mean_pulses_analytic,
@@ -76,6 +77,48 @@ def test_trajectory_single_steps_and_count():
     assert np.all(np.diff(traj.times) > 0)
     # event count equals |final - initial| for a fixed direction
     assert traj.n_events == abs(traj.final_charge - traj.initial_charge)
+
+
+def stepwise_trajectory(charge, rate, duration, direction, seed, floor_charge):
+    """One exponential draw per event at a constant rate: the reference for
+    the array-drawn path of ``simulate_charge_trajectory``."""
+    rng = np.random.default_rng(seed)
+    step = 1 if direction == "emit" else -1
+    c, t = charge, 0.0
+    times, charges = [], []
+    while rate > 0 and c != floor_charge:
+        t += rng.exponential(1.0 / rate)
+        if t >= duration:
+            break
+        c += step
+        times.append(t)
+        charges.append(c)
+    return np.asarray(times, dtype=float), np.asarray(charges, dtype=int)
+
+
+@pytest.mark.parametrize("chunk", [3, photoemission.TRAJECTORY_CHUNK])
+@pytest.mark.parametrize("charge, rate, duration, direction, floor, cut", [
+    (-40, 2.0, 100.0, "emit", -20, "floor"),
+    (-40, 0.5, 10.0, "emit", 0, "duration"),
+    (-40, 50.0, 30.0, "emit", None, "duration"),
+    (5, 2.0, 100.0, "capture", -3, "floor"),
+    (7, 0.8, 10.0, "capture", None, "duration"),
+])
+def test_constant_rate_matches_stepwise_draws(monkeypatch, chunk, charge, rate, duration,
+                                              direction, floor, cut):
+    # the same times to the bit, the same charges and event count, whether
+    # the floor or the duration ends the run; chunk 3 crosses array edges
+    monkeypatch.setattr(photoemission, "TRAJECTORY_CHUNK", chunk)
+    for seed in range(5):
+        times, charges = stepwise_trajectory(charge, rate, duration, direction, seed, floor)
+        traj = simulate_charge_trajectory(Particle(radius=0.5e-6, charge_count=charge),
+                                          rate, duration, direction, seed=seed,
+                                          floor_charge=floor)
+        assert traj.times.dtype == times.dtype and traj.charges.dtype == charges.dtype
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.charges, charges)
+        assert traj.n_events == len(times) > 0
+        assert (traj.final_charge == floor) == (cut == "floor")
 
 
 def test_trajectory_zero_rate():

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,8 +30,9 @@ def rk4_reference(stiffness_table, dt, n_steps, damping, x0, v0,
     for the integrator's noise-free path.
 
     Same table convention and escape test as
-    ``trap._integrate_linear_oscillator``; returns (positions at every step
-    before any escape, lost, escape_step, final_state).
+    ``trap._integrate_linear_oscillator`` (|x| beyond the radius or not
+    finite); returns (positions at every step before any escape, lost,
+    escape_step, final_state).
     """
     tab = [float(s) for s in stiffness_table]
     m = len(tab)
@@ -48,7 +51,7 @@ def rk4_reference(stiffness_table, dt, n_steps, damping, x0, v0,
         k4x, k4v = v4, -s2 * x4 - g * v4
         x += dt / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
         v += dt / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v)
-        if escape_radius is not None and abs(x) > escape_radius:
+        if escape_radius is not None and not abs(x) <= escape_radius:
             return np.asarray(out), True, step + 1, (x, v)
         out.append(x)
     return np.asarray(out), False, -1, (x, v)
@@ -201,6 +204,25 @@ def test_mathieu_boundary_location():
     assert q_star == pytest.approx(0.908, abs=0.01)
     # the bisection's exact end point, pinned from the stepwise integrator
     assert q_star == 0.90771484375
+
+
+def test_integrate_mathieu_overflow_reports_lost():
+    # q = 3.0 is far outside the first stability region: without an escape
+    # radius |x| overflows after ~200 drive periods, which must read as lost,
+    # with no warning.  The motion is linear, so the stepwise reference run
+    # at 2^-400 scale (exact in binary, and no RK4 stage overflows) finds
+    # the step where |x| first exceeds the largest float
+    n = 256
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        times, xs, lost, escape_time = integrate_mathieu(3.0, 1.0, 400.0)
+    scale = 2.0 ** -400
+    _, ref_lost, ref_step, _ = rk4_reference(
+        _mathieu_stiffness_table(3.0, 2.0 * math.pi, n), 1.0 / n, 400 * n, 0.0,
+        scale, 0.0, escape_radius=sys.float_info.max * scale)
+    assert lost and ref_lost
+    assert times is None and xs is None
+    assert escape_time == ref_step / n
 
 
 def test_integrate_motion_unstable_q_reports_lost():
