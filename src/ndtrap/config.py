@@ -94,12 +94,6 @@ _SECTION_KEYS = {
     },
 }
 
-_QUANTITY_DIMENSION = {}
-for _sec, _keys in _SECTION_KEYS.items():
-    for _k, _spec in _keys.items():
-        if _spec[0] in ("quantity", "floats"):
-            _QUANTITY_DIMENSION[(_sec, _k)] = _spec[1]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -203,7 +197,7 @@ def _parse_value(section, key, raw, line_no):
         if kind == "int":
             return int(raw.strip())
         if kind == "float":
-            return float(raw.strip())
+            return parse_quantity(raw, "dimensionless")
         if kind == "quantity":
             return parse_quantity(raw, spec[1])
         if kind == "floats":
@@ -213,14 +207,7 @@ def _parse_value(section, key, raw, line_no):
                 unit_parts.insert(0, parts.pop())
             if not parts:
                 raise ValueError("no numbers found")
-            if spec[1] == "dimensionless":
-                if unit_parts:
-                    raise ValueError("unexpected unit on dimensionless list")
-                return [float(p) for p in parts]
-            unit = " ".join(unit_parts)
-            if not unit:
-                raise ValueError(f"missing unit on list of {spec[1]}")
-            return [parse_quantity(f"{p} {unit}", spec[1]) for p in parts]
+            return [parse_quantity(" ".join([p] + unit_parts), spec[1]) for p in parts]
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -285,7 +272,7 @@ def serialize_scenario(scenario: Scenario) -> str:
              f"seed = {scenario.seed}"]
     for section in ("particle", "trap", "uv", "emission", "run"):
         body = scenario.sections.get(section)
-        if not body:
+        if body is None:   # an empty section is written, so it parses back
             continue
         lines.append("")
         lines.append(f"[{section}]")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import CARBON_ATOM_VOLUME, DIAMOND_DENSITY, ELEMENTARY_CHARGE
 
@@ -103,7 +103,7 @@ class Particle:
         return self.charge_count * ELEMENTARY_CHARGE
 
     def with_charge(self, charge_count: int) -> "Particle":
-        return replace(self, charge_count=charge_count)
+        return type(self)(self.radius, charge_count, self.material_density)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,14 @@ def stable_charge_range(particle_template: Particle, trap: TrapConfig) -> tuple:
     return max(lo, 1), hi
 
 
-ChargeSampler = Callable[[np.random.Generator, Particle, TrapConfig], int]
+ChargeSampler = Callable[[Particle, TrapConfig], Callable[[np.random.Generator], int]]
+"""Initial-charge sampler, bound once per particle template.
+
+``sampler(particle, trap)`` does all the work that depends only on the
+template and the trap, and raises there if they admit no charge; the
+``draw(rng) -> int`` it returns is called once per particle and costs little
+more than its random draw.  ``simulate_survival`` binds it once per run.
+"""
 
 
 def envelope_charge_sampler(sign: int = -1) -> ChargeSampler:
@@ -75,7 +82,7 @@ def envelope_charge_sampler(sign: int = -1) -> ChargeSampler:
     trappable (particles outside the band would never have loaded), which is
     also what keeps n_alive(0) = n0.
     """
-    def sampler(rng, particle, trap):
+    def sampler(particle, trap):
         env = charge_envelope(particle.radius)
         s_lo, s_hi = stable_charge_range(particle, trap)
         lo, hi = max(env.minimum, s_lo), min(env.maximum, s_hi)
@@ -83,9 +90,13 @@ def envelope_charge_sampler(sign: int = -1) -> ChargeSampler:
             raise ValueError(
                 "typical-charge envelope does not overlap the stable band; "
                 "adjust the trap geometry factor or drive")
-        count = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
-        count = min(max(count, math.ceil(lo)), math.floor(hi))
-        return sign * count
+        log_lo, log_hi = math.log(lo), math.log(hi)
+        c_lo, c_hi = math.ceil(lo), math.floor(hi)
+
+        def draw(rng):
+            count = int(round(math.exp(rng.uniform(log_lo, log_hi))))
+            return sign * min(max(count, c_lo), c_hi)
+        return draw
     return sampler
 
 
@@ -98,21 +109,24 @@ def margin_charge_sampler(margin_lo: int, margin_hi: int, sign: int = -1) -> Cha
     """
     if not (1 <= margin_lo <= margin_hi):
         raise ValueError("need 1 <= margin_lo <= margin_hi")
+    log_lo, log_hi = math.log(margin_lo), math.log(margin_hi)
 
-    def sampler(rng, particle, trap):
+    def sampler(particle, trap):
         s_lo, s_hi = stable_charge_range(particle, trap)
-        margin = int(round(math.exp(rng.uniform(math.log(margin_lo), math.log(margin_hi)))))
-        margin = min(max(margin, margin_lo), margin_hi)
-        count = s_lo + margin
-        if count > s_hi:
-            raise ValueError("margin sampler exceeds the stable band ceiling")
-        return sign * count
+
+        def draw(rng):
+            margin = int(round(math.exp(rng.uniform(log_lo, log_hi))))
+            count = s_lo + min(max(margin, margin_lo), margin_hi)
+            if count > s_hi:
+                raise ValueError("margin sampler exceeds the stable band ceiling")
+            return sign * count
+        return draw
     return sampler
 
 
 def fixed_charge_sampler(charge_count: int) -> ChargeSampler:
-    def sampler(rng, particle, trap):
-        return charge_count
+    def sampler(particle, trap):
+        return lambda rng: charge_count
     return sampler
 
 
@@ -162,8 +176,10 @@ def _survival_curve(deaths, duration, frame_rate, uv_on_time, metadata) -> Survi
     """Survivors at each frame of ``duration`` from one death time per particle."""
     n0 = len(deaths)
     times = np.arange(int(math.floor(duration * frame_rate)) + 1) / frame_rate
-    alive = n0 - np.searchsorted(np.sort(deaths), times, side="right")
-    return SurvivalCurve(times=times, n_alive=alive.astype(int), n0=n0,
+    # a death counts from the first frame at or after it; later ones fall in the dropped bin
+    first = np.searchsorted(times, deaths)
+    alive = n0 - np.cumsum(np.bincount(first, minlength=len(times) + 1)[:len(times)])
+    return SurvivalCurve(times=times, n_alive=alive, n0=n0,
                          uv_on_time=uv_on_time, metadata=metadata)
 
 
@@ -194,12 +210,13 @@ def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
     # everything that does not depend on the drawn charge is fixed by the template
     s_lo, s_hi = stable_charge_range(particle_template, trap)
     rate = emission_rate(model, source, particle_template)
+    draw_charge = charge_sampler(particle_template, trap)
     deaths = np.empty(n0)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seqs = root.spawn(n0)
     for i in range(n0):
         rng = np.random.default_rng(seqs[i])
-        charge = charge_sampler(rng, particle_template, trap)
+        charge = draw_charge(rng)
         if not s_lo <= abs(charge) <= s_hi:
             raise ValueError(f"initial charge {charge} is outside the stable band "
                              f"({s_lo} to {s_hi} e)")

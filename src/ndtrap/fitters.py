@@ -330,7 +330,9 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     mask = t >= uv_on_time
     t = t[mask] - uv_on_time
     y = y[mask]
-    if len(np.unique(t)) < 3:
+    dt = np.diff(t)
+    distinct = 1 + np.count_nonzero(dt) if (dt >= 0).all() else len(np.unique(t))
+    if distinct < 3:
         raise DegenerateFitError("need at least 3 distinct times after UV on")
     t0, span = float(np.min(t)), float(np.ptp(t))
 
@@ -343,7 +345,7 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
         return _no_decay_result(y)
 
     spacing = (t[-1] - t[0]) / (len(t) - 1)
-    if spacing > 0 and np.all(np.abs(np.diff(t) - spacing) <= EVEN_GRID_TOLERANCE * spacing):
+    if spacing > 0 and np.all(np.abs(dt - spacing) <= EVEN_GRID_TOLERANCE * spacing):
         starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
     else:
         starts, spacing = np.arange(len(t)), 1.0   # a run of one frame has no spacing

@@ -95,11 +95,11 @@ class ChargeTrajectory:
         c = np.asarray(self.charges, dtype=int)
         if len(t) != len(c):
             raise ValueError("times and charges must have equal length")
-        if len(t) and not np.all(np.diff(t) > 0):
-            raise ValueError("event times must be strictly increasing")
-        full = np.concatenate(([self.initial_charge], c))
-        if len(t) and not np.all(np.abs(np.diff(full)) == 1):
-            raise ValueError("each event must change the charge by exactly one e")
+        if len(t):
+            if not (t[1:] > t[:-1]).all():
+                raise ValueError("event times must be strictly increasing")
+            if abs(c[0] - self.initial_charge) != 1 or not (np.abs(c[1:] - c[:-1]) == 1).all():
+                raise ValueError("each event must change the charge by exactly one e")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "charges", c)
 
@@ -136,13 +136,15 @@ def _constant_rate_jumps(rng, rate, duration, c0, step, floor_charge):
                                                               abs(floor_charge - c))
         gaps = rng.exponential(1.0 / rate, n)
         gaps[0] += t
-        chunk = np.cumsum(gaps)
-        k = int(np.searchsorted(chunk, duration))     # first time >= duration
+        chunk = gaps.cumsum()
+        k = int(chunk.searchsorted(duration))         # first time >= duration
         times.append(chunk[:k])
         charges.append(c + step * np.arange(1, k + 1))
         c += step * k
         t = float(chunk[-1])
         if k < n or c == floor_charge:
+            if len(times) == 1:
+                return times[0], charges[0]
             return np.concatenate(times), np.concatenate(charges)
 
 
@@ -280,15 +282,10 @@ def pick_pulses(train: PulseTrain, phases: Optional[tuple] = None,
     t1 = t0 + train.shutter_open
     n_lo = math.ceil((t0 - laser_phase * t_rep) / t_rep)
     n_hi = math.floor((t1 - laser_phase * t_rep) / t_rep)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        t = (n + laser_phase) * t_rep
-        if not (t0 <= t < t1):
-            continue
-        chopper_pos = (t / t_chop - chopper_phase) % 1.0
-        if chopper_pos < train.chopper_duty:
-            out.append(t)
-    return np.asarray(out)
+    t = (np.arange(n_lo, n_hi + 1) + laser_phase) * t_rep
+    t = t[(t0 <= t) & (t < t1)]
+    # np.remainder takes the sign of the divisor, as Python's float % does
+    return t[(t / t_chop - chopper_phase) % 1.0 < train.chopper_duty]
 
 
 def required_intensity_scaling(target_time: float, measured_time: float) -> float:

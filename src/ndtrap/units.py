@@ -104,7 +104,9 @@ CANONICAL_UNIT = {
 
 
 def _normalize_unit(token: str) -> str:
-    return token.strip().lower().replace(" ", "").replace("p-p", "pp")
+    # the Greek small mu (also what the micro sign lowercases from upper case) reads as micro
+    return (token.strip().lower().replace(" ", "").replace("p-p", "pp")
+            .replace("\u03bc", "\u00b5"))
 
 
 def parse_quantity(text: str, dimension: str):
@@ -112,7 +114,7 @@ def parse_quantity(text: str, dimension: str):
 
     ``dimension`` names the expected quantity kind; a bare number is accepted
     only for ``dimensionless``.  Wavelengths accept any length unit and come
-    back in nm.
+    back in nm.  A value that is not finite in canonical units is rejected.
     """
     parts = text.strip().split()
     if not parts:
@@ -126,29 +128,27 @@ def parse_quantity(text: str, dimension: str):
     if dimension == "dimensionless":
         if unit:
             raise ValueError(f"unexpected unit {unit!r} on dimensionless value")
-        return value
-    if not unit:
+        factor = 1.0
+    elif not unit:
         raise ValueError(f"missing unit on {text!r} (expected {dimension})")
-
-    if dimension == "wavelength":
+    elif dimension == "wavelength":
         # any length unit, canonical nm; exact per-unit factors avoid the
         # round trip through meters
         factor = {"nm": 1.0, "um": 1e3, "µm": 1e3, "mm": 1e6,
                   "cm": 1e7, "m": 1e9}.get(unit)
         if factor is None:
             raise ValueError(f"unit {unit!r} is not a length (wavelength expected)")
-        return value * factor
-
-    dim, factor = _UNIT_TABLE.get(unit, (None, None))
-    if dim is None:
-        raise ValueError(f"unknown unit {unit!r}")
-    if dim == "frequency" and dimension == "rate":
-        return value * factor  # Hz and 1/s are interchangeable
-    if dim != dimension:
-        raise ValueError(f"unit {unit!r} has dimension {dim}, expected {dimension}")
+    else:
+        dim, factor = _UNIT_TABLE.get(unit, (None, None))
+        if dim is None:
+            raise ValueError(f"unknown unit {unit!r}")
+        # Hz and 1/s are interchangeable
+        if dim != dimension and not (dim == "frequency" and dimension == "rate"):
+            raise ValueError(f"unit {unit!r} has dimension {dim}, expected {dimension}")
+    value *= factor
     if not math.isfinite(value):
         raise ValueError(f"non-finite value in {text!r}")
-    return value * factor
+    return value
 
 
 def format_quantity(value: float, dimension: str) -> str:

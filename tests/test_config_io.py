@@ -1,13 +1,18 @@
 """Scenario config parsing, serialization round trip, CSV/JSON I/O."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndtrap import io
-from ndtrap.config import (ConfigError, parse_scenario_text, serialize_scenario)
+from ndtrap.config import (_SECTION_KEYS, ConfigError, parse_scenario_text,
+                           serialize_scenario)
 from ndtrap.runner import BUNDLED_SCENARIOS, load_bundled_scenario
+from ndtrap.units import _UNIT_TABLE
 
 MINIMAL = """
 [scenario]
@@ -65,6 +70,81 @@ def test_bundled_scenarios_parse_and_round_trip():
         assert sc.name == name
         again = parse_scenario_text(serialize_scenario(sc))
         assert again == sc
+
+
+def units_of(dimension):
+    """Every unit token the parser accepts for a dimension."""
+    if dimension == "dimensionless":
+        return [""]
+    dims = {"wavelength": ("length",), "rate": ("rate", "frequency")}.get(dimension,
+                                                                          (dimension,))
+    return [u for u, (d, _) in _UNIT_TABLE.items() if d in dims]
+
+
+NUMBER = st.one_of(st.floats(), st.floats(-1e6, 1e6), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def value_texts(draw, spec, notes):
+    """Text for one value of this parse spec; ``notes`` collects the numbers
+    and free strings it used, so the test knows when the text must parse."""
+    kind = spec[0]
+    if kind == "str":
+        if len(spec) > 1:
+            return draw(st.sampled_from(spec[1:]))
+        text = draw(st.text())
+        notes["texts"].append(text)
+        return text
+    if kind == "int":
+        return str(draw(st.integers()))
+    if kind in ("float", "quantity"):
+        numbers = [draw(NUMBER)]
+    else:
+        numbers = draw(st.lists(NUMBER, min_size=1, max_size=4))
+    notes["numbers"].extend(numbers)
+    unit = "" if kind == "float" else draw(st.sampled_from(units_of(spec[1])))
+    return f"{' '.join(repr(float(x)) for x in numbers)} {unit}".rstrip()
+
+
+@st.composite
+def scenario_texts(draw):
+    notes = {"numbers": [], "texts": []}
+    lines = ["[scenario]"]
+    for key, spec in _SECTION_KEYS["scenario"].items():
+        lines.append(f"{key} = {draw(value_texts(spec, notes))}")
+    sections = draw(st.lists(st.sampled_from([s for s in _SECTION_KEYS if s != "scenario"]),
+                             unique=True))
+    for section in sections:
+        lines.append(f"[{section}]")
+        keys = draw(st.lists(st.sampled_from(sorted(_SECTION_KEYS[section])), unique=True))
+        for key in keys:
+            lines.append(f"{key} = {draw(value_texts(_SECTION_KEYS[section][key], notes))}")
+    return "\n".join(lines) + "\n", notes
+
+
+def must_parse(notes):
+    """Finite numbers that stay finite in any unit, one-line stripped texts."""
+    return (all(math.isfinite(x) and abs(x) <= 1e300 for x in notes["numbers"])
+            and all("#" not in t and t == t.strip() and "".join(t.splitlines()) == t
+                    for t in notes["texts"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(generated=scenario_texts())
+def test_round_trip_property(generated):
+    # parse -> serialize -> parse is the identity on whatever the parser
+    # accepts, serializing is a fixed point, and anything it rejects is
+    # rejected with a ConfigError
+    text, notes = generated
+    try:
+        sc = parse_scenario_text(text)
+    except ConfigError:
+        assert not must_parse(notes)
+        return
+    out = serialize_scenario(sc)
+    again = parse_scenario_text(out)
+    assert again == sc
+    assert serialize_scenario(again) == out
 
 
 def test_parse_errors_carry_line_numbers():

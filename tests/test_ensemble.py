@@ -33,16 +33,59 @@ def test_stable_charge_range():
 
 def test_samplers_respect_bounds():
     rng = np.random.default_rng(0)
-    env = envelope_charge_sampler(sign=-1)
+    draw = envelope_charge_sampler(sign=-1)(PARTICLE, RING)
     lo, hi = stable_charge_range(PARTICLE, RING)
     for _ in range(200):
-        c = env(rng, PARTICLE, RING)
+        c = draw(rng)
         assert c < 0 and lo <= -c <= hi
-    margin = margin_charge_sampler(8, 32, sign=-1)
+    draw = margin_charge_sampler(8, 32, sign=-1)(PARTICLE, RING)
     for _ in range(200):
-        c = margin(rng, PARTICLE, RING)
+        c = draw(rng)
         assert lo + 8 <= -c <= lo + 32
-    assert fixed_charge_sampler(-69)(rng, PARTICLE, RING) == -69
+    assert fixed_charge_sampler(-69)(PARTICLE, RING)(rng) == -69
+
+
+def counting_sampler(inner, calls):
+    """Wrap a sampler so that ``calls`` counts its binds and its draws."""
+    def sampler(particle, trap):
+        calls["bind"] += 1
+        draw = inner(particle, trap)
+
+        def counted(rng):
+            calls["draw"] += 1
+            return draw(rng)
+        return counted
+    return sampler
+
+
+def test_envelope_overlap_error_at_bind():
+    # at geometry factor 1 the band (2 to 16 e) lies below the 1 um envelope
+    steep = TrapConfig(voltage_amplitude=2250.0, drive_frequency=140.0,
+                       characteristic_radius=3e-3, geometry_factor=1.0)
+    with pytest.raises(ValueError, match="does not overlap"):
+        envelope_charge_sampler(sign=-1)(PARTICLE, steep)
+    calls = {"bind": 0, "draw": 0}
+    with pytest.raises(ValueError, match="does not overlap"):
+        simulate_survival(5, PARTICLE, steep, MODEL, LED, duration=10.0, seed=1,
+                          charge_sampler=counting_sampler(envelope_charge_sampler(-1), calls))
+    assert calls == {"bind": 1, "draw": 0}
+
+
+def test_margin_ceiling_raises_per_draw():
+    lo, hi = stable_charge_range(PARTICLE, RING)
+    draw = margin_charge_sampler(hi - lo + 1, hi - lo + 50, sign=-1)(PARTICLE, RING)
+    with pytest.raises(ValueError, match="ceiling"):
+        draw(np.random.default_rng(0))
+
+
+def test_survival_binds_sampler_once():
+    calls = {"bind": 0, "draw": 0}
+    counted = simulate_survival(37, PARTICLE, RING, MODEL, LED, duration=50.0, seed=8,
+                                charge_sampler=counting_sampler(envelope_charge_sampler(-1),
+                                                                calls))
+    assert calls == {"bind": 1, "draw": 37}
+    plain = simulate_survival(37, PARTICLE, RING, MODEL, LED, duration=50.0, seed=8)
+    assert np.array_equal(counted.n_alive, plain.n_alive)
 
 
 def test_zero_intensity_keeps_all_particles():
@@ -200,6 +243,17 @@ def test_qualitative_timeline_shape():
     assert abs(count_at(18.0) - 12) <= 4
     assert abs(count_at(60.0) - 5) <= 4
     assert count_at(100.0) <= 5
+
+
+def test_survival_curve_counts_match_sorted_deaths():
+    # a death on a frame counts at that frame; deaths past the end never count
+    from ndtrap.ensemble import _survival_curve
+    rng = np.random.default_rng(4)
+    deaths = np.concatenate([rng.exponential(20.0, 200), np.arange(0.5, 60.0, 0.5),
+                             [50.0, 50.05, np.inf, 1e9]])
+    curve = _survival_curve(deaths, 50.0, 10.0, 0.0, {})
+    expected = len(deaths) - np.searchsorted(np.sort(deaths), curve.times, side="right")
+    assert curve.n_alive.tolist() == expected.tolist()
 
 
 def test_survival_curve_validation():

@@ -179,8 +179,13 @@ def test_fit_exponential_estimator_consistency():
 
 
 def test_fit_exponential_needs_three_times():
-    with pytest.raises(DegenerateFitError):
-        fit_exponential(CurveStub([0.0, 1.0], [5, 4]))
+    # distinct times count, sorted (counted from the steps) or not (np.unique)
+    for t, y in (([0.0, 1.0], [5, 4]), ([0.0, 0.0, 1.0, 1.0], [5, 5, 4, 4]),
+                 ([1.0, 0.0, 1.0, 0.0], [4, 5, 4, 5])):
+        with pytest.raises(DegenerateFitError, match="3 distinct times"):
+            fit_exponential(CurveStub(t, y))
+    for t in ([0.0, 0.0, 1.0, 2.0], [2.0, 0.0, 1.0, 0.0]):
+        fit_exponential(CurveStub(t, [5, 5, 4, 3]))
 
 
 def lm_exponential_fit(t, y):

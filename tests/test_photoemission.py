@@ -199,6 +199,42 @@ def test_thinning_matches_bernoulli_grid():
     assert p_value > 0.01
 
 
+def scalar_pick_pulses(train, phases):
+    """One pulse at a time, the loop the vectorized picker must reproduce."""
+    shutter_phase, chopper_phase, laser_phase = phases
+    t_chop = 1.0 / train.chopper_frequency
+    t_rep = 1.0 / train.repetition_rate
+    t0 = shutter_phase * t_chop
+    t1 = t0 + train.shutter_open
+    n_lo = math.ceil((t0 - laser_phase * t_rep) / t_rep)
+    n_hi = math.floor((t1 - laser_phase * t_rep) / t_rep)
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        t = (n + laser_phase) * t_rep
+        if not (t0 <= t < t1):
+            continue
+        if (t / t_chop - chopper_phase) % 1.0 < train.chopper_duty:
+            out.append(t)
+    return np.asarray(out, dtype=float)
+
+
+# at 1 kHz and all-zero phases, pulses fall exactly on both shutter edges
+@pytest.mark.parametrize("rep,duty,shutter", [(9200.0, 0.013, 4e-3), (9200.0, 0.5, 10e-3),
+                                              (1000.0, 0.999, 4e-3)])
+def test_pick_pulses_matches_scalar_loop(rep, duty, shutter):
+    train = PulseTrain(repetition_rate=rep, pulse_duration=0.5e-9,
+                       shutter_open=shutter, chopper_frequency=250.0,
+                       chopper_duty=duty, phases=(0.3, 0.7, 0.1))
+    rng = np.random.default_rng(5)
+    cases = [tuple(rng.random(3)) for _ in range(2000)]
+    cases += [train.phases, (0.0, 0.0, 0.0)]
+    for phases in cases:
+        got = pick_pulses(train, phases=phases)
+        want = scalar_pick_pulses(train, phases)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), phases
+    assert pick_pulses(train).tobytes() == scalar_pick_pulses(train, train.phases).tobytes()
+
+
 def test_pick_pulses_deterministic_and_windowed():
     train = PulseTrain(repetition_rate=9200.0, pulse_duration=0.5e-9,
                        shutter_open=4e-3, chopper_frequency=250.0,
@@ -257,6 +293,18 @@ def test_trajectory_validation():
     with pytest.raises(ValueError):
         ChargeTrajectory(times=np.array([1.0, 0.5]), charges=np.array([-49, -48]),
                          initial_charge=-50, duration=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ChargeTrajectory(times=np.array([0.5, 0.5]), charges=np.array([-49, -48]),
+                         initial_charge=-50, duration=2.0)
+    with pytest.raises(ValueError, match="exactly one e"):
         ChargeTrajectory(times=np.array([0.5, 1.0]), charges=np.array([-48, -47]),
                          initial_charge=-50, duration=2.0)
+    with pytest.raises(ValueError, match="exactly one e"):
+        ChargeTrajectory(times=np.array([0.5, 1.0, 1.5]), charges=np.array([-49, -47, -46]),
+                         initial_charge=-50, duration=2.0)
+    with pytest.raises(ValueError, match="equal length"):
+        ChargeTrajectory(times=np.array([0.5, 1.0]), charges=np.array([-49]),
+                         initial_charge=-50, duration=2.0)
+    empty = ChargeTrajectory(times=np.array([]), charges=np.array([]),
+                             initial_charge=-50, duration=2.0)
+    assert empty.n_events == 0 and empty.final_charge == -50

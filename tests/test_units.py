@@ -1,9 +1,11 @@
 """Unit parsing and conversions at the I/O boundary."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ndtrap.units import (format_quantity, pa_to_torr, parse_quantity,
-                          photon_energy_ev, torr_to_pa)
+from ndtrap.units import (_UNIT_TABLE, CANONICAL_UNIT, _normalize_unit, format_quantity,
+                          pa_to_torr, parse_quantity, photon_energy_ev, torr_to_pa)
 
 
 def test_peak_to_peak_halved_once():
@@ -46,6 +48,32 @@ def test_parse_errors():
         parse_quantity("3", "length")  # missing unit
     with pytest.raises(ValueError):
         parse_quantity("3 nm", "dimensionless")
+
+
+def accepts(unit_dimension, dimension):
+    return (unit_dimension == dimension
+            or (dimension == "wavelength" and unit_dimension == "length")
+            or (dimension == "rate" and unit_dimension == "frequency"))
+
+
+MISMATCHES = sorted((u, d) for u, (ud, _) in _UNIT_TABLE.items()
+                    for d in CANONICAL_UNIT if not accepts(ud, d))
+LONGEST_UNIT = max(len(u) for u in _UNIT_TABLE)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(value=st.floats(),
+       upper=st.lists(st.booleans(), min_size=LONGEST_UNIT, max_size=LONGEST_UNIT))
+def test_dimension_mismatch_named(value, upper):
+    # every unit of another dimension is rejected, whatever the number and
+    # the letter case, by a ValueError that names the unit and the dimension
+    # the field expects
+    for unit, dimension in MISMATCHES:
+        spelled = "".join(c.upper() if up else c for c, up in zip(unit, upper))
+        with pytest.raises(ValueError) as err:
+            parse_quantity(f"{value!r} {spelled}", dimension)
+        message = str(err.value)
+        assert repr(_normalize_unit(spelled)) in message and dimension in message
 
 
 def test_photon_energy():
