@@ -13,6 +13,34 @@ from ndtrap.config import serialize_scenario
 from ndtrap.runner import load_bundled_scenario
 
 
+MOTION_CFG = """
+[scenario]
+name = motion_demo
+kind = motion
+seed = 3
+
+[particle]
+diameter = 1 um
+charge_sign = negative
+
+[trap]
+voltage = 4.5 kVpp
+drive_frequency = 140 Hz
+geometry_factor = 0.0005
+characteristic_radius = 3 mm
+pressure = 0 Torr
+
+[run]
+duration = 0.5 s
+initial_charge = -100
+damping = 0 1/s
+"""
+
+TRAJECTORY_CFG = ("[scenario]\nname = traj_demo\nkind = trajectory\nseed = 5\n"
+                  "[particle]\ndiameter = 250 nm\ncharge_sign = negative\n"
+                  "[run]\ninitial_charge = -20\nrate = 2 1/s\nduration = 5 s\n")
+
+
 def bundled_data(name):
     return str(importlib.resources.files("ndtrap") / "scenarios" / "data" / name)
 
@@ -49,30 +77,8 @@ def test_simulate_seed_changes_output(tmp_path):
 
 
 def test_simulate_motion_kind(tmp_path):
-    cfg_text = """
-[scenario]
-name = motion_demo
-kind = motion
-seed = 3
-
-[particle]
-diameter = 1 um
-charge_sign = negative
-
-[trap]
-voltage = 4.5 kVpp
-drive_frequency = 140 Hz
-geometry_factor = 0.0005
-characteristic_radius = 3 mm
-pressure = 0 Torr
-
-[run]
-duration = 0.5 s
-initial_charge = -100
-damping = 0 1/s
-"""
     cfg = tmp_path / "motion.cfg"
-    cfg.write_text(cfg_text)
+    cfg.write_text(MOTION_CFG)
     out = tmp_path / "m"
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
     assert (out / "motion.csv").exists()
@@ -182,9 +188,7 @@ def test_non_sweep_rejected_by_sweep(tmp_path):
 
 def test_simulate_trajectory_kind(tmp_path):
     cfg = tmp_path / "traj.cfg"
-    cfg.write_text("[scenario]\nname = traj_demo\nkind = trajectory\nseed = 5\n"
-                   "[particle]\ndiameter = 250 nm\ncharge_sign = negative\n"
-                   "[run]\ninitial_charge = -20\nrate = 2 1/s\nduration = 5 s\n")
+    cfg.write_text(TRAJECTORY_CFG)
     out = tmp_path / "t"
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
     rows = (out / "trajectory.csv").read_text().splitlines()
