@@ -11,11 +11,11 @@ import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from . import io
 from .config import ConfigError, parse_scenario_file, serialize_scenario
-from .fitters import (FitError, LatticeNotDetectedError,
-                      attach_confidence_band, exponential_model,
+from .fitters import (FIT_SPACES, FitError, attach_confidence_band, exponential_model,
                       fit_charge_lattice, fit_exponential, fit_powerlaw,
                       fit_sigmoid)
 from .reproduce import FIGURES, reproduce
@@ -41,16 +41,62 @@ def _resolve_out_dir(cli_value, default_leaf):
     return os.path.join("outputs", default_leaf)
 
 
-def _load_scenario(args):
-    sc = parse_scenario_file(args.config)
-    if args.seed is not None:
-        sc = sc.with_seed(args.seed)
-    return sc
+def _run_survival(sc):
+    curve = run_survival_scenario(sc)
+    return ([("survival.csv", io.write_survival_csv, curve)],
+            {"n0": curve.n0, "losses": int(curve.n0 - curve.n_alive[-1])})
+
+
+def _run_sweep(sc):
+    return ([("sweep.csv", io.write_sweep_csv, run_sweep_scenario(sc),
+              SWEEP_KINDS[sc.kind][2])], {})
+
+
+def _run_trajectory(sc):
+    traj = run_trajectory_scenario(sc)
+    return [("trajectory.csv", io.write_trajectory_csv, traj)], {"n_events": traj.n_events}
+
+
+def _run_frequency_trace(sc):
+    traj, trace = run_frequency_trace_scenario(sc)
+    return ([("trajectory.csv", io.write_trajectory_csv, traj),
+             ("frequency_trace.csv", io.write_frequency_trace_csv, trace)],
+            {"n_events": traj.n_events})
+
+
+def _run_motion(sc):
+    result = run_motion_scenario(sc)
+    if isinstance(result, ParticleLost):
+        return [], {"lost": True, "escape_time_s": result.escape_time, "q": result.q}
+    return ([("motion.csv", io.write_motion_csv, result)],
+            {"lost": False, "q": result.metadata.get("q")})
+
+
+def _run_picker(sc):
+    pulses, _, _, trace = run_picker_scenario(sc)
+    return ([("pulses.csv", io.write_csv, ["pulse_time_s"], [pulses]),
+             ("frequency_trace.csv", io.write_frequency_trace_csv, trace)],
+            {"pulses_fixed_phases": len(pulses)})
+
+
+# scenario kind -> runner returning ([(file name, io writer, *writer args)],
+# metadata.json fields beyond scenario, kind, seed and config)
+KIND_RUNNERS = {
+    "survival": _run_survival,
+    "trajectory": _run_trajectory,
+    "motion": _run_motion,
+    "frequency_trace": _run_frequency_trace,
+    "picker": _run_picker,
+    "sweep_wavelength": _run_sweep,
+    "sweep_size": _run_sweep,
+}
 
 
 def _cmd_run(args) -> int:
     """Body of both 'simulate' and 'sweep'; each accepts its own scenario kinds."""
-    sc = _load_scenario(args)
+    sc = parse_scenario_file(args.config)
+    if args.seed is not None:
+        sc = sc.with_seed(args.seed)
     is_sweep = sc.kind in SWEEP_KINDS
     if is_sweep and args.command == "simulate":
         print(f"scenario kind {sc.kind!r} runs under the 'sweep' command", file=sys.stderr)
@@ -59,112 +105,77 @@ def _cmd_run(args) -> int:
         print(f"scenario kind {sc.kind!r} is not a sweep", file=sys.stderr)
         return EXIT_USAGE
     out_dir = io.ensure_dir(_resolve_out_dir(args.out_dir, sc.name))
+    files, fields = KIND_RUNNERS[sc.kind](sc)
     meta = {"scenario": sc.name, "kind": sc.kind, "seed": sc.seed,
-            "config": serialize_scenario(sc)}
-    written = []
-    if is_sweep:
-        path = os.path.join(out_dir, "sweep.csv")
-        io.write_sweep_csv(path, run_sweep_scenario(sc), SWEEP_KINDS[sc.kind][2])
-        written.append(path)
-    elif sc.kind == "survival":
-        curve = run_survival_scenario(sc)
-        path = os.path.join(out_dir, "survival.csv")
-        io.write_survival_csv(path, curve)
-        meta["n0"] = curve.n0
-        meta["losses"] = int(curve.n0 - curve.n_alive[-1])
-        written.append(path)
-    elif sc.kind == "frequency_trace":
-        traj, trace = run_frequency_trace_scenario(sc)
-        t_path = os.path.join(out_dir, "trajectory.csv")
-        io.write_trajectory_csv(t_path, traj)
-        f_path = os.path.join(out_dir, "frequency_trace.csv")
-        io.write_frequency_trace_csv(f_path, trace)
-        meta["n_events"] = traj.n_events
-        written += [t_path, f_path]
-    elif sc.kind == "trajectory":
-        traj = run_trajectory_scenario(sc)
-        path = os.path.join(out_dir, "trajectory.csv")
-        io.write_trajectory_csv(path, traj)
-        meta["n_events"] = traj.n_events
-        written.append(path)
-    elif sc.kind == "motion":
-        result = run_motion_scenario(sc)
-        if isinstance(result, ParticleLost):
-            meta["lost"] = True
-            meta["escape_time_s"] = result.escape_time
-            meta["q"] = result.q
-        else:
-            path = os.path.join(out_dir, "motion.csv")
-            io.write_motion_csv(path, result)
-            meta["lost"] = False
-            meta["q"] = result.metadata.get("q")
-            written.append(path)
-    elif sc.kind == "picker":
-        pulses, counts, charges, trace = run_picker_scenario(sc)
-        p_path = os.path.join(out_dir, "pulses.csv")
-        io.write_csv(p_path, ["pulse_time_s"], [pulses])
-        f_path = os.path.join(out_dir, "frequency_trace.csv")
-        io.write_frequency_trace_csv(f_path, trace)
-        meta["pulses_fixed_phases"] = len(pulses)
-        written += [p_path, f_path]
-    else:
-        print(f"unknown scenario kind {sc.kind!r}", file=sys.stderr)
-        return EXIT_USAGE
-    meta_path = os.path.join(out_dir, "metadata.json")
-    io.write_json(meta_path, meta)
-    written.append(meta_path)
-    for p in written:
-        print(p)
+            "config": serialize_scenario(sc), **fields}
+    for name, writer, *data in files + [("metadata.json", io.write_json, meta)]:
+        path = os.path.join(out_dir, name)
+        writer(path, *data)
+        print(path)
     return EXIT_OK
+
+
+def _fit_exp(args):
+    _, (t, n_alive, *_) = io.read_csv_columns(args.input, expected_columns=2)
+    result = fit_exponential(SimpleNamespace(times=t, n_alive=n_alive, uv_on_time=args.uv_on))
+    if args.band and math.isfinite(result.parameters["tau"]):
+        attach_confidence_band(result, exponential_model, t[t >= args.uv_on] - args.uv_on)
+        io.write_csv(args.band, ["x", "fit", "sigma"], result.confidence_band)
+        print(args.band)
+    return result, (f"exponential: tau = {result.parameters['tau']:.4g} s "
+                    f"+- {result.errors['tau']:.2g}, N0 = {result.parameters['n0']:.4g}")
+
+
+def _fit_sigmoid(args):
+    result = fit_sigmoid(*io.read_sweep_csv(args.input), fit_space=args.fit_space)
+    return result, (f"sigmoid: center = {result.derived['center_wavelength']:.4g} nm, "
+                    f"width = {result.derived['width_10_90']:.3g} nm, "
+                    f"threshold = {result.derived['threshold_wavelength']:.4g} nm")
+
+
+def _fit_powerlaw(args):
+    result = fit_powerlaw(*io.read_sweep_csv(args.input),
+                          fixed_exponent=args.fixed_exponent)
+    return result, (f"powerlaw: exponent = {result.parameters['exponent']:.4g} "
+                    f"+- {result.errors['exponent']:.2g}")
+
+
+def _fit_lattice(args):
+    trace = io.read_frequency_trace_csv(args.input)
+    result = fit_charge_lattice(trace, (args.delta_f_min, args.delta_f_max))
+    return result, (f"lattice: delta_f = {result.parameters['delta_f']:.4g} Hz, "
+                    f"N0 = {result.derived['initial_charge']}, points = {len(trace)}")
+
+
+# fit model -> (fit returning (result, summary line), its own flags)
+FIT_MODELS = {
+    "exp": (_fit_exp, {
+        "--uv-on": dict(type=float, default=0.0,
+                        help="UV turn-on time for exponential fits (s)"),
+        "--band": dict(default=None, help="also write the 1-sigma confidence band CSV here"),
+    }),
+    "sigmoid": (_fit_sigmoid, {
+        "--fit-space": dict(choices=FIT_SPACES, default="log"),
+    }),
+    "powerlaw": (_fit_powerlaw, {"--fixed-exponent": dict(type=float, default=None)}),
+    "lattice": (_fit_lattice, {
+        "--delta-f-min": dict(type=float, default=50.0),
+        "--delta-f-max": dict(type=float, default=250.0),
+    }),
+}
 
 
 def _cmd_fit(args) -> int:
     try:
-        if args.model == "lattice":
-            trace = io.read_frequency_trace_csv(args.input)
-            result = fit_charge_lattice(trace, (args.delta_f_min, args.delta_f_max))
-            summary = (f"lattice: delta_f = {result.parameters['delta_f']:.4g} Hz, "
-                       f"N0 = {result.derived['initial_charge']}, "
-                       f"points = {len(trace)}")
-        elif args.model == "exp":
-            header, cols = io.read_csv_columns(args.input, expected_columns=2)
-            curve_like = type("Curve", (), {"times": cols[0], "n_alive": cols[1],
-                                            "uv_on_time": args.uv_on})()
-            result = fit_exponential(curve_like)
-            if args.band and math.isfinite(result.parameters["tau"]):
-                t = cols[0][cols[0] >= args.uv_on] - args.uv_on
-                attach_confidence_band(result, exponential_model, t)
-            summary = (f"exponential: tau = {result.parameters['tau']:.4g} s "
-                       f"+- {result.errors['tau']:.2g}, N0 = {result.parameters['n0']:.4g}")
-        elif args.model == "sigmoid":
-            x, tau, err = io.read_sweep_csv(args.input)
-            result = fit_sigmoid(x, tau, err, fit_space=args.fit_space)
-            summary = (f"sigmoid: center = {result.derived['center_wavelength']:.4g} nm, "
-                       f"width = {result.derived['width_10_90']:.3g} nm, "
-                       f"threshold = {result.derived['threshold_wavelength']:.4g} nm")
-        elif args.model == "powerlaw":
-            x, tau, err = io.read_sweep_csv(args.input)
-            result = fit_powerlaw(x, tau, err, fixed_exponent=args.fixed_exponent)
-            summary = (f"powerlaw: exponent = {result.parameters['exponent']:.4g} "
-                       f"+- {result.errors['exponent']:.2g}")
-        else:  # unreachable via argparse choices
-            return EXIT_USAGE
+        result, summary = args.fit(args)
     except (io.DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LatticeNotDetectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
     out = args.out or (os.path.splitext(args.input)[0] + "_fit.json")
     io.write_json(out, io.fit_result_to_dict(result, model=args.model))
-    if args.band and result.confidence_band is not None:
-        xs, fitted, sigma = result.confidence_band
-        io.write_csv(args.band, ["x", "fit", "sigma"], [xs, fitted, sigma])
-        print(args.band)
     print(summary)
     print(out)
     return EXIT_OK if result.converged else EXIT_NUMERIC
@@ -186,32 +197,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "levitated nanoparticles in Paul traps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run a scenario config")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--out-dir", default=None)
-    p_sim.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run a sweep scenario config")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--out-dir", default=None)
-    p_sweep.set_defaults(func=_cmd_run)
+    for command, help_text in (("simulate", "run a scenario config"),
+                               ("sweep", "run a sweep scenario config")):
+        p_run = sub.add_parser(command, help=help_text)
+        p_run.add_argument("--config", required=True)
+        p_run.add_argument("--seed", type=int, default=None)
+        p_run.add_argument("--out-dir", default=None)
+        p_run.set_defaults(func=_cmd_run)
 
     p_fit = sub.add_parser("fit", help="fit a measurement CSV")
-    p_fit.add_argument("model", choices=("exp", "sigmoid", "powerlaw", "lattice"))
-    p_fit.add_argument("input")
-    p_fit.add_argument("--out", default=None)
-    p_fit.add_argument("--band", default=None,
-                       help="also write the 1-sigma confidence band CSV here")
-    p_fit.add_argument("--uv-on", type=float, default=0.0,
-                       help="UV turn-on time for exponential fits (s)")
-    p_fit.add_argument("--fit-space", choices=("log", "linear", "inverse"),
-                       default="log")
-    p_fit.add_argument("--fixed-exponent", type=float, default=None)
-    p_fit.add_argument("--delta-f-min", type=float, default=50.0)
-    p_fit.add_argument("--delta-f-max", type=float, default=250.0)
-    p_fit.set_defaults(func=_cmd_fit)
+    models = p_fit.add_subparsers(dest="model", required=True)
+    for model, (fit, flags) in FIT_MODELS.items():
+        p_model = models.add_parser(model)
+        p_model.add_argument("input")
+        p_model.add_argument("--out", default=None)
+        for flag, spec in flags.items():
+            p_model.add_argument(flag, **spec)
+        p_model.set_defaults(func=_cmd_fit, fit=fit)
 
     p_rep = sub.add_parser("reproduce", help="run a bundled reproduction scenario")
     p_rep.add_argument("figure", choices=FIGURES)

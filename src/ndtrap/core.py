@@ -143,10 +143,6 @@ class TrapConfig:
         """Drive angular frequency Omega = 2 pi f, rad/s."""
         return 2.0 * math.pi * self.drive_frequency
 
-    @property
-    def drive_period(self) -> float:
-        return 1.0 / self.drive_frequency
-
 
 @dataclass(frozen=True)
 class UVSource:

@@ -57,13 +57,6 @@ class FitResult:
     def __getitem__(self, name: str) -> float:
         return self.parameters[name]
 
-    def summary(self) -> str:
-        body = ", ".join(f"{k} = {v:.6g}" for k, v in self.parameters.items())
-        tail = "" if self.converged else " [not converged]"
-        if self.flags:
-            tail += " [" + ",".join(self.flags) + "]"
-        return body + tail
-
 
 def _fd_jacobian(model: Callable, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Forward finite-difference Jacobian of model(x, *theta) wrt theta."""
@@ -78,6 +71,10 @@ def _fd_jacobian(model: Callable, x: np.ndarray, theta: np.ndarray) -> np.ndarra
     return jac
 
 
+# non-finite intermediates are tested for, not warned about: a trial step that
+# overflows is rejected, a Jacobian without a finite diagonal stops the loop,
+# and a non-finite final Jacobian raises DegenerateFitError
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def nls_fit(model: Callable, x, y, p0: Sequence[float],
             param_names: Optional[Sequence[str]] = None,
             weights=None, max_iterations: int = MAX_ITERATIONS,
@@ -112,10 +109,8 @@ def nls_fit(model: Callable, x, y, p0: Sequence[float],
     sw = np.sqrt(w)
 
     def ssr_of(t):
-        # overflow in a trial step is fine: the step is simply rejected
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = sw * (y - np.asarray(model(x, *t), dtype=float))
-            return r, float(r @ r)
+        r = sw * (y - np.asarray(model(x, *t), dtype=float))
+        return r, float(r @ r)
 
     r, ssr = ssr_of(theta)
     lam = _LM_DAMPING_INIT
@@ -487,14 +482,14 @@ def fit_sigmoid(wavelengths, lifetimes, lifetime_errors=None,
         slope_scale = (s_right - s_left) / max(np.ptp(lam_s), 1.0)
     y_left = math.exp(s_left) if fit_space == "log" else s_left
     y_right = math.exp(s_right) if fit_space == "log" else s_right
-    l0 = y_right - y_left
     b0 = y_left if abs(y_left) < abs(y_right) else y_right
     l0 = (y_right - b0) if b0 == y_left else (y_left - b0)
-    sign = 1.0 if slope_scale * l0 >= 0 else -1.0
-    k0 = sign * 4.0 * abs(slope_scale) / max(abs(l0), 1e-300)
     if fit_space == "log":
         # slope of log model at center = k/4 * L/(b + L/2)
         k0 = slope_scale * 4.0 * (b0 + 0.5 * l0) / l0 if l0 != 0 else 1.0
+    else:
+        sign = 1.0 if slope_scale * l0 >= 0 else -1.0
+        k0 = sign * 4.0 * abs(slope_scale) / max(abs(l0), 1e-300)
 
     result = nls_fit(fit_model, lam, y_fit, (l0, crossing, k0, b0),
                      param_names=("L", "lambda0", "k", "b"), weights=weights)

@@ -22,13 +22,16 @@ class DataFormatError(ValueError):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
 def write_csv(path, header, columns):
-    """Write columns (equal-length sequences) as UTF-8 CSV with a header row."""
+    """Write columns (equal-length sequences of numbers or strings) as UTF-8
+    CSV with a header row."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
@@ -128,15 +131,10 @@ def read_frequency_trace_csv(path, exposure_unit: str = "seconds") -> FrequencyT
 
 
 def write_sweep_csv(path, points, x_name: str):
-    xs = [p.x for p in points]
-    taus = [p.lifetime for p in points]
-    errs = [p.lifetime_error for p in points]
-    flags = ["|".join(p.flags) if p.flags else "ok" for p in points]
-    lines = [f"{x_name},lifetime_s,lifetime_error_s,status"]
-    for x, t, e, fl in zip(xs, taus, errs, flags):
-        lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(e)},{fl}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, [x_name, "lifetime_s", "lifetime_error_s", "status"],
+              [[p.x for p in points], [p.lifetime for p in points],
+               [p.lifetime_error for p in points],
+               ["|".join(p.flags) or "ok" for p in points]])
 
 
 def read_sweep_csv(path):

@@ -252,11 +252,6 @@ class PulseTrain:
             raise ValueError("phases must be three fractions in [0, 1)")
         object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
 
-    @property
-    def chopper_window(self) -> float:
-        """Open time per chopper revolution, s."""
-        return self.chopper_duty / self.chopper_frequency
-
 
 def mean_pulses_analytic(train: PulseTrain) -> float:
     """Expected transmitted pulses per shutter exposure over random phases."""

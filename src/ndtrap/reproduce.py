@@ -21,8 +21,6 @@ from .runner import (SWEEP_KINDS, load_bundled_scenario,
                      run_survival_scenario, run_sweep_scenario)
 from .units import photon_energy_ev
 
-FIGURES = ("fig5", "fig7", "fig8", "fig9", "fig10", "fig12", "picker")
-
 # pinned reference values and tolerances
 FIG5_TAU_RANGE = (32.0, 49.0)            # s, 40.7 +- 20% calibration band
 FIG7_CENTER = (280.0, 2.0)               # nm
@@ -59,6 +57,7 @@ class Check:
 class Report:
     figure: str
     seed: int
+    out_dir: str
     checks: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
@@ -66,6 +65,12 @@ class Report:
     def add(self, name, ok, value, expected, detail="", informational=False):
         status = "INFO" if informational else ("PASS" if ok else "FAIL")
         self.checks.append(Check(name, status, value, expected, detail))
+
+    def write(self, name, writer, *args):
+        """Write one output file into out_dir with an io writer and list it."""
+        path = os.path.join(self.out_dir, name)
+        writer(path, *args)
+        self.outputs.append(path)
 
     @property
     def failed(self) -> bool:
@@ -94,7 +99,7 @@ def _scenario(name, seed):
 
 def reproduce_fig5(out_dir, seed=None) -> Report:
     sc = _scenario("fig5_decay", seed)
-    report = Report("fig5", sc.seed)
+    report = Report("fig5", sc.seed, out_dir)
     curve = run_survival_scenario(sc)
     fit = fit_exponential(curve)
     tau = fit.parameters["tau"]
@@ -108,20 +113,16 @@ def reproduce_fig5(out_dir, seed=None) -> Report:
     report.add("control_losses", losses == 0, losses,
                "0 over 8000 s without UV")
 
-    path = os.path.join(out_dir, "fig5_survival.csv")
-    io.write_survival_csv(path, curve)
-    ctrl_path = os.path.join(out_dir, "fig5_control.csv")
-    io.write_survival_csv(ctrl_path, ctrl_curve)
-    fit_path = os.path.join(out_dir, "fig5_fit.json")
-    io.write_json(fit_path, io.fit_result_to_dict(fit, model="exponential"))
-    report.outputs += [path, ctrl_path, fit_path]
+    report.write("fig5_survival.csv", io.write_survival_csv, curve)
+    report.write("fig5_control.csv", io.write_survival_csv, ctrl_curve)
+    report.write("fig5_fit.json", io.write_json, io.fit_result_to_dict(fit, model="exponential"))
     report.data["tau_s"] = tau
     return report
 
 
 def reproduce_fig7(out_dir, seed=None) -> Report:
     sc = _scenario("fig7_sweep", seed)
-    report = Report("fig7", sc.seed)
+    report = Report("fig7", sc.seed, out_dir)
     points = run_sweep_scenario(sc)
     good = [p for p in points if not p.flags]
     fit = fit_sigmoid([p.x for p in good], [p.lifetime for p in good],
@@ -140,18 +141,15 @@ def reproduce_fig7(out_dir, seed=None) -> Report:
                round(energy_ref, 3), "4.59 (about 4.6)",
                detail=f"fitted threshold gives {fit.derived['threshold_photon_energy_ev']:.3f} eV")
 
-    path = os.path.join(out_dir, "fig7_sweep.csv")
-    io.write_sweep_csv(path, points, SWEEP_KINDS[sc.kind][2])
-    fit_path = os.path.join(out_dir, "fig7_fit.json")
-    io.write_json(fit_path, io.fit_result_to_dict(fit, model="sigmoid"))
-    report.outputs += [path, fit_path]
+    report.write("fig7_sweep.csv", io.write_sweep_csv, points, SWEEP_KINDS[sc.kind][2])
+    report.write("fig7_fit.json", io.write_json, io.fit_result_to_dict(fit, model="sigmoid"))
     report.data.update({"center_nm": center, "width_nm": width, "threshold_nm": threshold})
     return report
 
 
 def reproduce_fig8(out_dir, seed=None) -> Report:
     sc = _scenario("fig8_sweep", seed)
-    report = Report("fig8", sc.seed)
+    report = Report("fig8", sc.seed, out_dir)
     points = run_sweep_scenario(sc)
     good = [p for p in points if not p.flags]
     d = [p.x for p in good]
@@ -171,15 +169,12 @@ def reproduce_fig8(out_dir, seed=None) -> Report:
                round(free.residual_norm, 4),
                f"< {fixed2.residual_norm:.4g} (d^-2 residual)")
 
-    path = os.path.join(out_dir, "fig8_sweep.csv")
-    io.write_sweep_csv(path, points, SWEEP_KINDS[sc.kind][2])
-    fit_path = os.path.join(out_dir, "fig8_fit.json")
-    io.write_json(fit_path, {
+    report.write("fig8_sweep.csv", io.write_sweep_csv, points, SWEEP_KINDS[sc.kind][2])
+    report.write("fig8_fit.json", io.write_json, {
         "free": io.fit_result_to_dict(free, model="powerlaw"),
         "fixed_d-1": io.fit_result_to_dict(fixed1, model="powerlaw"),
         "fixed_d-2": io.fit_result_to_dict(fixed2, model="powerlaw"),
     })
-    report.outputs += [path, fit_path]
     report.data["exponent"] = exponent
     return report
 
@@ -200,7 +195,7 @@ def _fig9_single(sc):
 
 def reproduce_fig9(out_dir, seed=None) -> Report:
     sc = _scenario("fig9_steps", seed)
-    report = Report("fig9", sc.seed)
+    report = Report("fig9", sc.seed, out_dir)
 
     traj, trace, fit, truth, ok = _fig9_single(sc)
     if fit is None:
@@ -224,22 +219,18 @@ def reproduce_fig9(out_dir, seed=None) -> Report:
                f">= {FIG9_MIN_SUCCESS} over {n_seeds} seeds",
                detail="delta_f within 2% and charge sequence exact")
 
-    path = os.path.join(out_dir, "fig9_trace.csv")
-    io.write_frequency_trace_csv(path, trace)
-    traj_path = os.path.join(out_dir, "fig9_trajectory.csv")
-    io.write_trajectory_csv(traj_path, traj)
-    report.outputs += [path, traj_path]
+    report.write("fig9_trace.csv", io.write_frequency_trace_csv, trace)
+    report.write("fig9_trajectory.csv", io.write_trajectory_csv, traj)
     if fit is not None:
-        fit_path = os.path.join(out_dir, "fig9_fit.json")
-        io.write_json(fit_path, io.fit_result_to_dict(fit, model="charge_lattice"))
-        report.outputs.append(fit_path)
+        report.write("fig9_fit.json", io.write_json,
+                     io.fit_result_to_dict(fit, model="charge_lattice"))
     report.data["mc_success_fraction"] = frac
     return report
 
 
 def reproduce_fig10(out_dir, seed=None) -> Report:
     sc = _scenario("fig10_fast", seed)
-    report = Report("fig10", sc.seed)
+    report = Report("fig10", sc.seed, out_dir)
 
     # arithmetic pins on the reported step values
     electrons_first = FIG10_FIRST_SHIFT / FIG10_DELTA_F
@@ -279,20 +270,17 @@ def reproduce_fig10(out_dir, seed=None) -> Report:
                detail="same trace, shifted delta_f search range",
                informational=True)
 
-    path = os.path.join(out_dir, "fig10_trace.csv")
-    io.write_frequency_trace_csv(path, trace)
-    fit_path = os.path.join(out_dir, "fig10_fits.json")
-    io.write_json(fit_path, {
+    report.write("fig10_trace.csv", io.write_frequency_trace_csv, trace)
+    report.write("fig10_fits.json", io.write_json, {
         "single_electron_reading": io.fit_result_to_dict(fit_a, model="charge_lattice"),
         "coarse_reading": io.fit_result_to_dict(fit_b, model="charge_lattice"),
     })
-    report.outputs += [path, fit_path]
     return report
 
 
 def reproduce_fig12(out_dir, seed=None) -> Report:
     sc = _scenario("fig12_picker", seed)
-    report = Report("fig12", sc.seed)
+    report = Report("fig12", sc.seed, out_dir)
     fixed_pulses, counts, charges, trace = run_picker_scenario(sc)
     frac_pulsed = float(np.mean(counts > 0))
     report.add("exposures_with_pulse", None, round(frac_pulsed, 3),
@@ -310,17 +298,15 @@ def reproduce_fig12(out_dir, seed=None) -> Report:
                int(np.sum(steps == -1)), "count of one-electron exposures",
                informational=True)
 
-    path = os.path.join(out_dir, "fig12_trace.csv")
-    io.write_frequency_trace_csv(path, trace)
-    fit_path = os.path.join(out_dir, "fig12_fit.json")
-    io.write_json(fit_path, io.fit_result_to_dict(fit, model="charge_lattice"))
-    report.outputs += [path, fit_path]
+    report.write("fig12_trace.csv", io.write_frequency_trace_csv, trace)
+    report.write("fig12_fit.json", io.write_json,
+                 io.fit_result_to_dict(fit, model="charge_lattice"))
     return report
 
 
 def reproduce_picker(out_dir, seed=None) -> Report:
     sc = _scenario("fig12_picker", seed)
-    report = Report("picker", sc.seed)
+    report = Report("picker", sc.seed, out_dir)
     train = sc.pulse_train()
     analytic = mean_pulses_analytic(train)
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(1)[0])
@@ -339,10 +325,8 @@ def reproduce_picker(out_dir, seed=None) -> Report:
                detail=f"contained: {bool(in_support)}",
                informational=True)
 
-    hist_path = os.path.join(out_dir, "picker_histogram.csv")
-    values, freq = np.unique(counts, return_counts=True)
-    io.write_csv(hist_path, ["pulses_per_exposure", "occurrences"], [values, freq])
-    report.outputs.append(hist_path)
+    report.write("picker_histogram.csv", io.write_csv, ["pulses_per_exposure", "occurrences"],
+                 np.unique(counts, return_counts=True))
     report.data.update({"analytic_mean": analytic, "mc_mean": mc_mean,
                         "measured_reference": PICKER_MEASURED})
     return report
@@ -357,6 +341,7 @@ _RUNNERS = {
     "fig12": reproduce_fig12,
     "picker": reproduce_picker,
 }
+FIGURES = tuple(_RUNNERS)
 
 
 def reproduce(figure: str, out_dir: str, seed=None) -> Report:
@@ -365,7 +350,5 @@ def reproduce(figure: str, out_dir: str, seed=None) -> Report:
         raise ValueError(f"unknown figure {figure!r}; choose from {FIGURES}")
     io.ensure_dir(out_dir)
     report = _RUNNERS[figure](out_dir, seed)
-    report_path = os.path.join(out_dir, "report.json")
-    io.write_json(report_path, report.to_dict())
-    report.outputs.append(report_path)
+    report.write("report.json", io.write_json, report.to_dict())
     return report

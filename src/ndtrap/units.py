@@ -28,7 +28,8 @@ def photon_energy_ev(wavelength_nm: float) -> float:
     return EV_NM / wavelength_nm
 
 
-# unit token (lowercased, spaces and hyphens stripped) -> (dimension, factor to canonical)
+# unit token (spaces stripped) -> (dimension, factor to canonical).  An SI prefix
+# is read in exact case; the unit letters after it fold case.
 # Canonical units: m, s, Hz, V (amplitude), Torr, W, W/m^2, K, 1/s, kg/m^3, nm for
 # "wavelength", dimensionless for bare numbers.
 _UNIT_TABLE = {
@@ -46,36 +47,36 @@ _UNIT_TABLE = {
     "µs": ("time", 1e-6),
     "ns": ("time", 1e-9),
     # frequency -> Hz
-    "hz": ("frequency", 1.0),
-    "khz": ("frequency", 1e3),
-    "mhz": ("frequency", 1e6),
+    "Hz": ("frequency", 1.0),
+    "kHz": ("frequency", 1e3),
+    "MHz": ("frequency", 1e6),
     # rate -> 1/s
     "1/s": ("rate", 1.0),
     "1/hour": ("rate", 1.0 / 3600.0),
     # voltage -> V zero-to-peak; peak-to-peak halves
-    "v": ("voltage", 1.0),
-    "kv": ("voltage", 1e3),
-    "vpp": ("voltage", 0.5),
-    "kvpp": ("voltage", 500.0),
-    "vp-p": ("voltage", 0.5),
-    "kvp-p": ("voltage", 500.0),
+    "V": ("voltage", 1.0),
+    "kV": ("voltage", 1e3),
+    "Vpp": ("voltage", 0.5),
+    "kVpp": ("voltage", 500.0),
+    "Vp-p": ("voltage", 0.5),
+    "kVp-p": ("voltage", 500.0),
     # pressure -> Torr
-    "torr": ("pressure", 1.0),
-    "pa": ("pressure", 1.0 / TORR),
+    "Torr": ("pressure", 1.0),
+    "Pa": ("pressure", 1.0 / TORR),
     "mbar": ("pressure", 100.0 / TORR),
     # power -> W
-    "w": ("power", 1.0),
-    "mw": ("power", 1e-3),
-    "uw": ("power", 1e-6),
+    "W": ("power", 1.0),
+    "mW": ("power", 1e-3),
+    "uW": ("power", 1e-6),
     # intensity -> W/m^2
-    "w/m2": ("intensity", 1.0),
-    "w/m^2": ("intensity", 1.0),
-    "mw/cm2": ("intensity", 10.0),
-    "mw/cm^2": ("intensity", 10.0),
-    "w/cm2": ("intensity", 1e4),
-    "w/cm^2": ("intensity", 1e4),
+    "W/m2": ("intensity", 1.0),
+    "W/m^2": ("intensity", 1.0),
+    "mW/cm2": ("intensity", 10.0),
+    "mW/cm^2": ("intensity", 10.0),
+    "W/cm2": ("intensity", 1e4),
+    "W/cm^2": ("intensity", 1e4),
     # temperature -> K
-    "k": ("temperature", 1.0),
+    "K": ("temperature", 1.0),
     # mass density -> kg/m^3
     "kg/m3": ("density", 1.0),
     "kg/m^3": ("density", 1.0),
@@ -105,8 +106,16 @@ CANONICAL_UNIT = {
 
 def _normalize_unit(token: str) -> str:
     # the Greek small mu (also what the micro sign lowercases from upper case) reads as micro
-    return (token.strip().lower().replace(" ", "").replace("p-p", "pp")
-            .replace("\u03bc", "\u00b5"))
+    return token.strip().replace(" ", "").replace("\u03bc", "\u00b5")
+
+
+# case-folded token -> unit table key
+_FOLDED = {unit.lower(): unit for unit in _UNIT_TABLE}
+
+
+def _si_prefix(unit: str) -> str:
+    """The SI prefix a unit table key starts with, or ''."""
+    return unit[0] if len(unit) > 1 and unit[0] in "cmuµnkM" else ""
 
 
 def parse_quantity(text: str, dimension: str):
@@ -131,19 +140,23 @@ def parse_quantity(text: str, dimension: str):
         factor = 1.0
     elif not unit:
         raise ValueError(f"missing unit on {text!r} (expected {dimension})")
-    elif dimension == "wavelength":
-        # any length unit, canonical nm; exact per-unit factors avoid the
-        # round trip through meters
-        factor = {"nm": 1.0, "um": 1e3, "µm": 1e3, "mm": 1e6,
-                  "cm": 1e7, "m": 1e9}.get(unit)
-        if factor is None:
-            raise ValueError(f"unit {unit!r} is not a length (wavelength expected)")
     else:
-        dim, factor = _UNIT_TABLE.get(unit, (None, None))
-        if dim is None:
-            raise ValueError(f"unknown unit {unit!r}")
+        key = _FOLDED.get(_normalize_unit(unit.lower()))
+        if key is None:
+            raise ValueError(f"unknown unit {unit!r} (expected {dimension})")
+        if not unit.startswith(_si_prefix(key)):
+            raise ValueError(f"unknown unit {unit!r}: SI prefixes are case-sensitive, "
+                             f"did you mean {key!r}? (expected {dimension})")
+        dim, factor = _UNIT_TABLE[key]
+        if dimension == "wavelength":
+            # any length unit, canonical nm; exact per-unit factors avoid the
+            # round trip through meters
+            factor = {"nm": 1.0, "um": 1e3, "µm": 1e3, "mm": 1e6,
+                      "cm": 1e7, "m": 1e9}.get(key)
+            if factor is None:
+                raise ValueError(f"unit {unit!r} is not a length (wavelength expected)")
         # Hz and 1/s are interchangeable
-        if dim != dimension and not (dim == "frequency" and dimension == "rate"):
+        elif dim != dimension and not (dim == "frequency" and dimension == "rate"):
             raise ValueError(f"unit {unit!r} has dimension {dim}, expected {dimension}")
     value *= factor
     if not math.isfinite(value):

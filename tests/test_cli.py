@@ -8,8 +8,8 @@ import pytest
 from test_fitters import lm_exponential_fit
 
 from ndtrap import io
-from ndtrap.cli import main
-from ndtrap.config import serialize_scenario
+from ndtrap.cli import KIND_RUNNERS, main
+from ndtrap.config import SCENARIO_KINDS, serialize_scenario
 from ndtrap.runner import load_bundled_scenario
 
 
@@ -158,6 +158,24 @@ def test_fit_exp_band_on_bundled_survival_curve(tmp_path):
     cfg = write_scenario(tmp_path, "fig5_decay")
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "sim")]) == 0
     check_fit_exp(tmp_path, tmp_path / "sim" / "survival.csv", uv_on=20.0)
+
+
+@pytest.mark.parametrize("flags", [
+    ["sigmoid", bundled_data("fig7_sweep.csv"), "--band", "band.csv"],
+    ["lattice", bundled_data("fig9_steps.csv"), "--uv-on", "3", "--fit-space", "linear"],
+    ["exp", bundled_data("fig9_steps.csv"), "--fixed-exponent", "-1"],
+    ["powerlaw", bundled_data("fig7_sweep.csv"), "--delta-f-min", "55"],
+])
+def test_fit_flag_of_another_model_exit_2(tmp_path, monkeypatch, flags):
+    # each model takes only its own flags; another model's flag is a usage
+    # error, not silently ignored
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", *flags, "--out", "fit.json"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kind_table_covers_scenario_kinds():
+    assert set(KIND_RUNNERS) == set(SCENARIO_KINDS)
 
 
 def test_fit_empty_file_exit_2(tmp_path):

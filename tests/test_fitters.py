@@ -72,6 +72,7 @@ def test_nls_nonconvergence_returns_best_so_far():
     assert math.isfinite(res.residual_norm)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(model=st.sampled_from(["exponential", "sigmoid", "line"]),
        data=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e6, 1e6)),

@@ -16,6 +16,18 @@ def test_peak_to_peak_halved_once():
     assert format_quantity(2250.0, "voltage") == "2250.0 V"
 
 
+def test_si_prefix_exact_case():
+    # milli and mega differ only in case, so a miscased prefix is an error
+    # naming the unit and the expected dimension, never a value 10^9 off;
+    # the unit letters after the prefix still fold case
+    for text, dimension in (("1 mHz", "frequency"), ("1 MW", "power"), ("1 Ms", "time")):
+        with pytest.raises(ValueError, match=f"'{text[2:]}'.*{dimension}"):
+            parse_quantity(text, dimension)
+    assert parse_quantity("1 MHZ", "frequency") == 1e6
+    assert parse_quantity("1 mw", "power") == 1e-3
+    assert parse_quantity("1 mS", "time") == 1e-3
+
+
 def test_torr_pa_round_trip():
     for p in (1e-6, 0.2, 0.5, 760.0):
         assert pa_to_torr(torr_to_pa(p)) == pytest.approx(p, rel=1e-12)
