@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 from . import io
 from .config import ConfigError, parse_scenario_file, serialize_scenario
-from .fitters import (FIT_SPACES, FitError, attach_confidence_band, exponential_model,
+from .fitters import (FIT_SPACES, FitError, confidence_band, exponential_model,
                       fit_charge_lattice, fit_exponential, fit_powerlaw,
                       fit_sigmoid)
 from .reproduce import FIGURES, reproduce
@@ -69,7 +69,7 @@ def _run_motion(sc):
     if isinstance(result, ParticleLost):
         return [], {"lost": True, "escape_time_s": result.escape_time, "q": result.q}
     return ([("motion.csv", io.write_motion_csv, result)],
-            {"lost": False, "q": result.metadata.get("q")})
+            {"lost": False, "q": result.q})
 
 
 def _run_picker(sc):
@@ -118,12 +118,14 @@ def _cmd_run(args) -> int:
 def _fit_exp(args):
     _, (t, n_alive, *_) = io.read_csv_columns(args.input, expected_columns=2)
     result = fit_exponential(SimpleNamespace(times=t, n_alive=n_alive, uv_on_time=args.uv_on))
-    if args.band and math.isfinite(result.parameters["tau"]):
-        attach_confidence_band(result, exponential_model, t[t >= args.uv_on] - args.uv_on)
-        io.write_csv(args.band, ["x", "fit", "sigma"], result.confidence_band)
+    n0, tau = result.parameters["n0"], result.parameters["tau"]
+    if args.band and math.isfinite(tau):
+        x = t[t >= args.uv_on] - args.uv_on
+        sigma = confidence_band(result, exponential_model, x)
+        io.write_csv(args.band, ["x", "fit", "sigma"], [x, exponential_model(x, n0, tau), sigma])
         print(args.band)
-    return result, (f"exponential: tau = {result.parameters['tau']:.4g} s "
-                    f"+- {result.errors['tau']:.2g}, N0 = {result.parameters['n0']:.4g}")
+    return result, (f"exponential: tau = {tau:.4g} s "
+                    f"+- {result.errors['tau']:.2g}, N0 = {n0:.4g}")
 
 
 def _fit_sigmoid(args):

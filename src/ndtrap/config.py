@@ -113,6 +113,15 @@ class Scenario:
             raise ConfigError(f"scenario {self.name!r} is missing [{section}] {key}")
         return value
 
+    def given(self, section: str, *keys: str, **renamed: str) -> dict:
+        """The keys of ``section`` that the scenario sets, as keyword arguments:
+        each of ``keys`` under its own name, each ``key=argument`` pair under
+        that argument's name.  An unset key is left out, so the callee's
+        default applies."""
+        body = self.sections.get(section, {})
+        names = dict(zip(keys, keys), **renamed)
+        return {arg: body[key] for key, arg in names.items() if key in body}
+
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=int(seed))
 
@@ -124,61 +133,40 @@ class Scenario:
             diameter = self.require("particle", "diameter")
             radius = diameter / 2.0
         sign = -1 if self.get("particle", "charge_sign", "negative") == "negative" else 1
-        kwargs = {}
-        density = self.get("particle", "material_density")
-        if density is not None:
-            kwargs["material_density"] = density
         charge = self.get("run", "initial_charge")
         return Particle(radius=radius, charge_count=charge if charge is not None else sign,
-                        **kwargs)
+                        **self.given("particle", "material_density"))
 
     def trap(self) -> TrapConfig:
-        band = self.get("trap", "stability_band", [0.1, 0.9])
         return TrapConfig(
             voltage_amplitude=self.require("trap", "voltage"),
             drive_frequency=self.require("trap", "drive_frequency"),
             characteristic_radius=self.require("trap", "characteristic_radius"),
-            geometry_factor=self.get("trap", "geometry_factor", 1.0),
-            pressure_torr=self.get("trap", "pressure", 0.0),
-            stability_band=tuple(band),
+            **self.given("trap", "geometry_factor", "stability_band",
+                         pressure="pressure_torr"),
         )
 
     def uv_source(self) -> UVSource:
-        mode = self.get("uv", "mode", "continuous")
         return UVSource(
-            mode=mode,
+            mode=self.get("uv", "mode", "continuous"),
             wavelength=self.require("uv", "wavelength"),
-            intensity=self.get("uv", "intensity", 0.0),
-            average_power=self.get("uv", "average_power", 0.0),
-            repetition_rate=self.get("uv", "repetition_rate", 0.0),
-            pulse_duration=self.get("uv", "pulse_duration", 0.0),
-            spot_diameter=self.get("uv", "spot_diameter", 0.0),
+            **self.given("uv", "intensity", "average_power", "repetition_rate",
+                         "pulse_duration", "spot_diameter"),
         )
 
     def emission_model(self) -> EmissionModel:
-        kwargs = {}
-        for cfg_key, model_key in (("rate_scale", "rate_scale"),
-                                   ("size_exponent", "size_exponent"),
-                                   ("floor_rate", "floor_rate"),
-                                   ("reference_diameter", "reference_diameter"),
-                                   ("reference_intensity", "reference_intensity")):
-            value = self.get("emission", cfg_key)
-            if value is not None:
-                kwargs[model_key] = value
-        return EmissionModel.from_width(
-            center_wavelength=self.get("emission", "center", 280.0),
-            width_10_90=self.get("emission", "width_10_90", 10.0),
-            **kwargs)
+        return EmissionModel.from_width(**self.given(
+            "emission", "width_10_90", "rate_scale", "size_exponent", "floor_rate",
+            "reference_diameter", "reference_intensity", center="center_wavelength"))
 
     def pulse_train(self) -> PulseTrain:
-        phases = self.get("run", "phases", [0.0, 0.0, 0.0])
         return PulseTrain(
             repetition_rate=self.require("uv", "repetition_rate"),
             pulse_duration=self.require("uv", "pulse_duration"),
             shutter_open=self.require("run", "shutter_open"),
             chopper_frequency=self.require("run", "chopper_frequency"),
             chopper_duty=self.require("run", "chopper_duty"),
-            phases=tuple(phases),
+            **self.given("run", "phases"),
         )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ class SurvivalCurve:
     n_alive: np.ndarray
     n0: int
     uv_on_time: float
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -172,15 +171,14 @@ def _death_time(rng, particle_template, charge, rate, exit_charge, duration,
     return min(t_bg, t_uv)
 
 
-def _survival_curve(deaths, duration, frame_rate, uv_on_time, metadata) -> SurvivalCurve:
+def _survival_curve(deaths, duration, frame_rate, uv_on_time) -> SurvivalCurve:
     """Survivors at each frame of ``duration`` from one death time per particle."""
     n0 = len(deaths)
     times = np.arange(int(math.floor(duration * frame_rate)) + 1) / frame_rate
     # a death counts from the first frame at or after it; later ones fall in the dropped bin
     first = np.searchsorted(times, deaths)
     alive = n0 - np.cumsum(np.bincount(first, minlength=len(times) + 1)[:len(times)])
-    return SurvivalCurve(times=times, n_alive=alive, n0=n0,
-                         uv_on_time=uv_on_time, metadata=metadata)
+    return SurvivalCurve(times=times, n_alive=alive, n0=n0, uv_on_time=uv_on_time)
 
 
 def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
@@ -188,8 +186,7 @@ def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
                       seed: int, charge_sampler: Optional[ChargeSampler] = None,
                       uv_on_time: float = 0.0,
                       frame_rate: float = DEFAULT_FRAME_RATE,
-                      background_rate: float = 0.0,
-                      metadata: Optional[dict] = None) -> SurvivalCurve:
+                      background_rate: float = 0.0) -> SurvivalCurve:
     """Simulate n0 independent particles and count survivors over time.
 
     Each particle draws an initial charge, evolves an independent
@@ -222,14 +219,7 @@ def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
                              f"({s_lo} to {s_hi} e)")
         deaths[i] = _death_time(rng, particle_template, charge, rate, 1 - s_lo,
                                 duration, uv_on_time, background_rate)
-    meta = {"seed": seed if isinstance(seed, int) else str(seed),
-            "wavelength": source.wavelength,
-            "diameter": particle_template.diameter,
-            "uv_on_time": uv_on_time, "frame_rate": frame_rate,
-            "background_rate": background_rate, "duration": duration}
-    if metadata:
-        meta.update(metadata)
-    return _survival_curve(deaths, duration, frame_rate, uv_on_time, meta)
+    return _survival_curve(deaths, duration, frame_rate, uv_on_time)
 
 
 def exponential_survival_curve(n0: int, tau: float, duration: float, seed: int,
@@ -244,8 +234,7 @@ def exponential_survival_curve(n0: int, tau: float, duration: float, seed: int,
         raise ValueError("n0, tau and duration must be positive")
     rng = np.random.default_rng(seed)
     deaths = uv_on_time + rng.exponential(tau, n0)
-    return _survival_curve(deaths, duration, frame_rate, uv_on_time,
-                           {"tau_true": tau, "seed": seed})
+    return _survival_curve(deaths, duration, frame_rate, uv_on_time)
 
 
 SweepPoint = namedtuple("SweepPoint", "x lifetime lifetime_error flags")

@@ -52,7 +52,6 @@ class FitResult:
     dof: int
     flags: tuple = ()
     derived: dict = field(default_factory=dict)
-    confidence_band: Optional[tuple] = None   # (x, fitted, 1 sigma envelope)
 
     def __getitem__(self, name: str) -> float:
         return self.parameters[name]
@@ -183,15 +182,6 @@ def confidence_band(result: FitResult, model: Callable, xs) -> np.ndarray:
     grad = _fd_jacobian(model, xs, theta)
     var = np.einsum("ij,jk,ik->i", grad, result.covariance, grad)
     return np.sqrt(np.maximum(var, 0.0))
-
-
-def attach_confidence_band(result: FitResult, model: Callable, xs) -> FitResult:
-    """Store the per-x fitted curve and its 1 sigma envelope on the result."""
-    xs = np.asarray(xs, dtype=float)
-    theta = [result.parameters[k] for k in result.param_names]
-    fitted = np.asarray(model(xs, *theta), dtype=float)
-    result.confidence_band = (xs, fitted, confidence_band(result, model, xs))
-    return result
 
 
 # ---------------------------------------------------------------------------

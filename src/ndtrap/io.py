@@ -127,7 +127,7 @@ def read_frequency_trace_csv(path, exposure_unit: str = "seconds") -> FrequencyT
     exposures, freqs = cols[0], cols[1]
     errors = cols[2] if len(cols) > 2 else np.zeros(len(freqs))
     return FrequencyTrace(exposures=exposures, frequencies=freqs, errors=errors,
-                          exposure_unit=exposure_unit, metadata={"source": str(path)})
+                          exposure_unit=exposure_unit)
 
 
 def write_sweep_csv(path, points, x_name: str):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -87,8 +87,6 @@ class ChargeTrajectory:
     times: np.ndarray          # s, strictly increasing event times
     charges: np.ndarray        # charge_count after each event
     initial_charge: int
-    duration: float
-    seed: Optional[int] = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -119,9 +117,6 @@ class ChargeTrajectory:
         return full[idx]
 
 
-RateFunction = Union[float, Callable[[float], float]]
-
-
 def _constant_rate_jumps(rng, rate, duration, c0, step, floor_charge):
     """Jump times and charges at a constant rate, the exponential gaps drawn
     in arrays of up to TRAJECTORY_CHUNK, never more than the floor allows.
@@ -148,81 +143,33 @@ def _constant_rate_jumps(rng, rate, duration, c0, step, floor_charge):
             return np.concatenate(times), np.concatenate(charges)
 
 
-def simulate_charge_trajectory(particle: Particle, rate_fn: RateFunction,
-                               duration: float, direction: str = "emit",
-                               seed: Optional[int] = 0,
-                               rng: Optional[np.random.Generator] = None,
-                               rate_max: Optional[float] = None,
+def simulate_charge_trajectory(particle: Particle, rate: float, duration: float,
+                               direction: str = "emit", *, rng: np.random.Generator,
                                floor_charge: Optional[int] = 0) -> ChargeTrajectory:
-    """Single-electron jump process; a time-dependent rate by Poisson thinning.
+    """Single-electron jump process at a constant per-electron rate (1/s).
 
     ``direction="emit"`` removes electrons (charge_count moves positive-ward),
     ``"capture"`` adds them (charge_count moves negative-ward).  The process
     stops at ``floor_charge`` (default 0 = neutrality) or at ``duration``.
-    A constant rate draws its exponential gaps as arrays (the same values, in
-    the same order, as one draw per event), so the generator may end up past
-    the draws the trajectory used.
-
-    Parameters
-    ----------
-    rate_fn : float or callable
-        Constant rate, or instantaneous rate as a function of time in 1/s.
-        A callable needs ``rate_max``, an upper bound of the rate over
-        [0, duration]; without it ValueError is raised, since no finite
-        sampling of the callable can see a pulse shorter than its spacing.
+    The exponential gaps are drawn as arrays (the same values, in the same
+    order, as one draw per event), so ``rng`` may end up past the draws the
+    trajectory used.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     if direction not in ("emit", "capture"):
         raise ValueError(f"direction must be 'emit' or 'capture', got {direction!r}")
+    if not rate >= 0:
+        raise ValueError(f"rate must be >= 0, got {rate}")
     step = +1 if direction == "emit" else -1
     c0 = particle.charge_count
     if floor_charge is not None and (floor_charge - c0) * step < 0:
         raise ValueError(
             f"floor_charge {floor_charge} is unreachable from {c0} in direction {direction}")
-
-    if callable(rate_fn):
-        if rate_max is None:
-            raise ValueError("a callable rate_fn needs rate_max, its bound over [0, duration]")
-        rate = rate_fn
-    else:
-        value = float(rate_fn)
-        if value < 0:
-            raise ValueError(f"rate must be >= 0, got {value}")
-        rate = None
-        rate_max = value
-    if rate_max < 0:
-        raise ValueError("rate bound must be >= 0")
-
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    c = c0
-    times, charges = [], []
-    if rate_max > 0 and c != floor_charge:
-        if rate is None:
-            times, charges = _constant_rate_jumps(rng, rate_max, duration, c0, step,
-                                                  floor_charge)
-        else:
-            t = 0.0
-            while True:
-                t += rng.exponential(1.0 / rate_max)
-                if t >= duration:
-                    break
-                r = rate(t)
-                if r < 0:
-                    raise ValueError(f"rate function returned {r} < 0 at t = {t}")
-                if r > rate_max * (1.0 + 1e-9):
-                    raise ValueError("rate function exceeds its stated bound")
-                if rng.random() >= r / rate_max:
-                    continue
-                c += step
-                times.append(t)
-                charges.append(c)
-                if c == floor_charge:
-                    break
-    return ChargeTrajectory(times=np.asarray(times, dtype=float),
-                            charges=np.asarray(charges, dtype=int),
-                            initial_charge=c0, duration=duration, seed=seed)
+    times = charges = ()
+    if rate > 0 and c0 != floor_charge:
+        times, charges = _constant_rate_jumps(rng, rate, duration, c0, step, floor_charge)
+    return ChargeTrajectory(times=times, charges=charges, initial_charge=c0)
 
 
 @dataclass(frozen=True)

@@ -59,14 +59,12 @@ def _survival_kwargs(sc: Scenario) -> dict:
         duration=sc.require("run", "duration"),
         seed=sc.seed,
         charge_sampler=_sampler_from(sc),
-        uv_on_time=sc.get("run", "uv_on_time", 0.0),
-        frame_rate=sc.get("run", "frame_rate", 10.0),
-        background_rate=sc.get("run", "background_rate", 0.0),
+        **sc.given("run", "uv_on_time", "frame_rate", "background_rate"),
     )
 
 
 def run_survival_scenario(sc: Scenario):
-    return simulate_survival(**_survival_kwargs(sc), metadata={"scenario": sc.name})
+    return simulate_survival(**_survival_kwargs(sc))
 
 
 # sweep kind -> (ensemble sweep axis, [run] key of its values, sweep.csv column)
@@ -94,9 +92,8 @@ def run_trajectory_scenario(sc: Scenario, rng=None):
         particle,
         sc.require("run", "rate"),
         sc.require("run", "duration"),
-        direction=sc.get("run", "direction", "emit"),
         rng=rng,
-        floor_charge=0,
+        **sc.given("run", "direction"),
     )
 
 
@@ -129,7 +126,7 @@ def run_motion_scenario(sc: Scenario):
         damping=damping,
         rng_seed=sc.seed,
         thermal_noise=sc.get("run", "thermal_noise", "off") == "on",
-        x0=sc.get("run", "x0"),
+        **sc.given("run", "x0"),
     )
 
 
@@ -166,8 +163,6 @@ def run_picker_scenario(sc: Scenario):
         frequencies=freqs,
         errors=np.full(n_shutter, float(noise_sigma)),
         exposure_unit="shutter_count",
-        metadata={"delta_f": delta_f, "noise_sigma": noise_sigma,
-                  "pulse_probability": p_emit, "scenario": sc.name},
     )
     fixed_pulses = pick_pulses(train)
     return fixed_pulses, counts, charges, trace

@@ -9,7 +9,7 @@ f = delta_f * N_e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ class FrequencyTrace:
     frequencies: np.ndarray       # Hz
     errors: np.ndarray            # Hz, 1 sigma, >= 0
     exposure_unit: str = "seconds"
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         e = np.asarray(self.exposures, dtype=float)
@@ -124,15 +123,14 @@ def estimate_secular_frequency(trace: MotionTrace, search_band: tuple
 
 def synthesize_frequency_trace(traj: ChargeTrajectory, delta_f: float,
                                noise_sigma: float, sample_times,
-                               seed: Optional[int] = 0,
-                               rng: Optional[np.random.Generator] = None
-                               ) -> FrequencyTrace:
+                               rng: np.random.Generator) -> FrequencyTrace:
     """Frequency readings f = delta_f * |N_e| + noise along a trajectory.
 
     ``sample_times`` are points on the trajectory's exposure clock (s) at
     which the charge is read; they are also the trace's exposures.  Gaussian
-    noise of ``noise_sigma`` is added and readings are clipped at zero,
-    since a measured oscillation frequency cannot be negative.
+    noise of ``noise_sigma``, drawn from ``rng`` when positive, is added and
+    readings are clipped at zero, since a measured oscillation frequency
+    cannot be negative.
     """
     if delta_f <= 0:
         raise ValueError("delta_f must be positive")
@@ -141,12 +139,7 @@ def synthesize_frequency_trace(traj: ChargeTrajectory, delta_f: float,
     sample_times = np.asarray(sample_times, dtype=float)
     freqs = delta_f * np.abs(traj.charge_at(sample_times))
     if noise_sigma > 0:
-        if rng is None:
-            rng = np.random.default_rng(seed)
         freqs = freqs + noise_sigma * rng.standard_normal(len(freqs))
     freqs = np.maximum(freqs, 0.0)
     errors = np.full(len(freqs), float(noise_sigma))
-    meta = {"delta_f": delta_f, "noise_sigma": noise_sigma,
-            "initial_charge": traj.initial_charge, "seed": seed}
-    return FrequencyTrace(exposures=sample_times, frequencies=freqs, errors=errors,
-                          metadata=meta)
+    return FrequencyTrace(exposures=sample_times, frequencies=freqs, errors=errors)

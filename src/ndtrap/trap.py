@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -91,24 +91,18 @@ def stability_report(particle: Particle, trap: TrapConfig) -> StabilityReport:
     )
 
 
-def damping_rate(particle: Particle, pressure_torr: float,
-                 reflection: str = "diffuse") -> float:
+def damping_rate(particle: Particle, pressure_torr: float) -> float:
     """Free-molecular (Epstein) velocity damping rate gamma in 1/s.
 
     gamma = delta * P * sqrt(8 m_gas / (pi kB T)) / (radius * density)
     for air at room temperature, linear in pressure, with delta = 1 + pi/8
-    for diffuse reflection (Epstein's accommodated case) or 1 for specular.
+    for diffuse reflection (Epstein's accommodated case).
     """
     if pressure_torr < 0:
         raise ValueError("pressure must be >= 0")
     if pressure_torr == 0:
         return 0.0
-    if reflection == "diffuse":
-        delta = 1.0 + math.pi / 8.0
-    elif reflection == "specular":
-        delta = 1.0
-    else:
-        raise ValueError(f"reflection must be 'diffuse' or 'specular', got {reflection!r}")
+    delta = 1.0 + math.pi / 8.0
     pressure_pa = torr_to_pa(pressure_torr)
     speed_factor = math.sqrt(8.0 * AIR_MOLECULE_MASS / (math.pi * BOLTZMANN * ROOM_TEMPERATURE))
     return delta * pressure_pa * speed_factor / (particle.radius * particle.material_density)
@@ -121,7 +115,7 @@ class MotionTrace:
     sample_rate: float            # Hz
     times: np.ndarray             # s
     positions: np.ndarray         # m
-    metadata: dict = field(default_factory=dict)
+    q: float                      # stability parameter of the traced particle
 
     def __post_init__(self):
         if len(self.times) != len(self.positions):
@@ -140,7 +134,6 @@ class ParticleLost:
 
     escape_time: float
     q: float
-    metadata: dict = field(default_factory=dict)
 
 
 def _integrate_linear_oscillator(stiffness_table, dt, n_steps, damping,
@@ -352,24 +345,13 @@ def integrate_motion(particle: Particle, trap: TrapConfig, duration: float,
         kick_sigma = math.sqrt(2.0 * damping * BOLTZMANN * ROOM_TEMPERATURE
                                / particle.mass * dt)
         rng = np.random.default_rng(rng_seed)
-    meta = {
-        "q": q,
-        "damping": damping,
-        "thermal_noise": bool(thermal_noise),
-        "rng_seed": rng_seed,
-        "drive_frequency": trap.drive_frequency,
-        "steps_per_period": steps_per_period,
-        "x0": x0,
-        "v0": v0,
-    }
     times, xs, lost, escape_time = integrate_mathieu(
         q, trap.drive_frequency, duration, damping=damping, x0=x0, v0=v0,
         steps_per_period=steps_per_period, kick_sigma=kick_sigma, rng=rng,
         escape_radius=100.0 * trap.characteristic_radius, sample_stride=stride)
     if lost:
-        return ParticleLost(escape_time=escape_time, q=q, metadata=meta)
-    return MotionTrace(sample_rate=step_rate / stride, times=times,
-                       positions=xs, metadata=meta)
+        return ParticleLost(escape_time=escape_time, q=q)
+    return MotionTrace(sample_rate=step_rate / stride, times=times, positions=xs, q=q)
 
 
 def find_mathieu_boundary() -> float:

@@ -141,7 +141,7 @@ def test_criterion_09_integrator_validation():
                                                sample_stride=64)
         assert not lost
         trace = MotionTrace(sample_rate=f_drive * 256 / 64, times=times,
-                            positions=xs)
+                            positions=xs, q=q)
         est = estimate_secular_frequency(trace, band)
         analytic = q / (2 * math.sqrt(2)) * f_drive
         assert est is not None

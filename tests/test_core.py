@@ -1,10 +1,14 @@
 """Domain types and derived quantities."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import ndtrap
 from ndtrap.core import (Particle, TrapConfig, UVSource, atom_count_from_radius,
                          charge_envelope, mass_from_radius)
 
@@ -134,3 +138,18 @@ def test_uv_source_pulsed_derived():
     assert s.average_intensity == pytest.approx(7.7e-3 / area)
     with pytest.raises(ValueError):
         UVSource(mode="pulsed", wavelength=266.0, average_power=1e-3)
+
+
+def test_no_public_function_takes_both_a_seed_and_an_rng():
+    # randomness enters each function one way: a seed it builds its own
+    # generator from, or a generator the caller passes
+    both = []
+    for info in pkgutil.iter_modules(ndtrap.__path__):
+        module = importlib.import_module(f"ndtrap.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters
+            if "rng" in params and {"seed", "rng_seed"} & params.keys():
+                both.append(f"{module.__name__}.{name}")
+    assert both == []

@@ -251,7 +251,7 @@ def test_survival_curve_counts_match_sorted_deaths():
     rng = np.random.default_rng(4)
     deaths = np.concatenate([rng.exponential(20.0, 200), np.arange(0.5, 60.0, 0.5),
                              [50.0, 50.05, np.inf, 1e9]])
-    curve = _survival_curve(deaths, 50.0, 10.0, 0.0, {})
+    curve = _survival_curve(deaths, 50.0, 10.0, 0.0)
     expected = len(deaths) - np.searchsorted(np.sort(deaths), curve.times, side="right")
     assert curve.n_alive.tolist() == expected.tolist()
 

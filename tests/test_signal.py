@@ -16,7 +16,7 @@ from ndtrap.trap import MotionTrace, integrate_motion
 def sinusoid_trace(freq, fs, duration, amplitude=1.0):
     t = np.arange(int(duration * fs)) / fs
     return MotionTrace(sample_rate=fs, times=t,
-                       positions=amplitude * np.sin(2 * math.pi * freq * t))
+                       positions=amplitude * np.sin(2 * math.pi * freq * t), q=0.0)
 
 
 def test_pure_sinusoid_estimate():
@@ -42,7 +42,7 @@ def test_white_noise_gives_no_peak():
         rng = np.random.default_rng(seed)
         t = np.arange(40960) / 5000.0
         trace = MotionTrace(sample_rate=5000.0, times=t,
-                            positions=rng.standard_normal(len(t)))
+                            positions=rng.standard_normal(len(t)), q=0.0)
         est = estimate_secular_frequency(trace, (200.0, 500.0))
         assert est is None
 
@@ -74,9 +74,9 @@ def test_cross_module_integrator_peak():
 
 def test_synthesize_lattice_values():
     p = Particle(radius=125e-9, charge_count=69)
-    traj = simulate_charge_trajectory(p, 5.0, 40.0, "capture", seed=2)
+    traj = simulate_charge_trajectory(p, 5.0, 40.0, "capture", rng=np.random.default_rng(2))
     times = np.linspace(0.0, 40.0, 25)
-    trace = synthesize_frequency_trace(traj, 76.4, 0.0, times)
+    trace = synthesize_frequency_trace(traj, 76.4, 0.0, times, rng=np.random.default_rng(0))
     # noiseless: plateau gaps are exact multiples of 76.4 Hz
     gaps = np.abs(np.diff(trace.frequencies))
     assert np.allclose(gaps / 76.4, np.round(gaps / 76.4), atol=1e-12)
@@ -85,8 +85,9 @@ def test_synthesize_lattice_values():
 
 def test_synthesize_static_charge_constant():
     p = Particle(radius=125e-9, charge_count=12)
-    traj = simulate_charge_trajectory(p, 0.0, 10.0, "capture", seed=0)
-    trace = synthesize_frequency_trace(traj, 100.0, 0.0, np.linspace(0, 10, 9))
+    traj = simulate_charge_trajectory(p, 0.0, 10.0, "capture", rng=np.random.default_rng(0))
+    trace = synthesize_frequency_trace(traj, 100.0, 0.0, np.linspace(0, 10, 9),
+                                       rng=np.random.default_rng(0))
     assert np.all(trace.frequencies == 1200.0)
 
 
