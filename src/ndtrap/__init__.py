@@ -16,8 +16,8 @@ from .photoemission import (ChargeTrajectory, EmissionModel, PulseTrain,
                             simulate_charge_trajectory, spot_for_power)
 from .signal import (FrequencyTrace, estimate_secular_frequency,
                      synthesize_frequency_trace)
-from .trap import (MotionTrace, ParticleLost, StabilityReport, damping_rate,
+from .trap import (MotionTrace, ParticleLost, damping_rate,
                    find_mathieu_boundary, integrate_motion, is_stable,
-                   secular_frequency, stability_parameter, stability_report)
+                   secular_frequency, stability_parameter)
 
 __version__ = "0.1.0"

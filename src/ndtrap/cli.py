@@ -119,37 +119,42 @@ def _fit_exp(args):
     _, (t, n_alive, *_) = io.read_csv_columns(args.input, expected_columns=2)
     result = fit_exponential(SimpleNamespace(times=t, n_alive=n_alive, uv_on_time=args.uv_on))
     n0, tau = result.parameters["n0"], result.parameters["tau"]
+    error = None
     if args.band and math.isfinite(tau):
         x = t[t >= args.uv_on] - args.uv_on
         sigma = confidence_band(result, exponential_model, x)
         io.write_csv(args.band, ["x", "fit", "sigma"], [x, exponential_model(x, n0, tau), sigma])
         print(args.band)
+    elif args.band:
+        error = (f"--band: no band written to {args.band}: the fit is flagged "
+                 f"{', '.join(result.flags)} (tau = inf)")
     return result, (f"exponential: tau = {tau:.4g} s "
-                    f"+- {result.errors['tau']:.2g}, N0 = {n0:.4g}")
+                    f"+- {result.errors['tau']:.2g}, N0 = {n0:.4g}"), error
 
 
 def _fit_sigmoid(args):
     result = fit_sigmoid(*io.read_sweep_csv(args.input), fit_space=args.fit_space)
     return result, (f"sigmoid: center = {result.derived['center_wavelength']:.4g} nm, "
                     f"width = {result.derived['width_10_90']:.3g} nm, "
-                    f"threshold = {result.derived['threshold_wavelength']:.4g} nm")
+                    f"threshold = {result.derived['threshold_wavelength']:.4g} nm"), None
 
 
 def _fit_powerlaw(args):
     result = fit_powerlaw(*io.read_sweep_csv(args.input),
                           fixed_exponent=args.fixed_exponent)
     return result, (f"powerlaw: exponent = {result.parameters['exponent']:.4g} "
-                    f"+- {result.errors['exponent']:.2g}")
+                    f"+- {result.errors['exponent']:.2g}"), None
 
 
 def _fit_lattice(args):
     trace = io.read_frequency_trace_csv(args.input)
     result = fit_charge_lattice(trace, (args.delta_f_min, args.delta_f_max))
     return result, (f"lattice: delta_f = {result.parameters['delta_f']:.4g} Hz, "
-                    f"N0 = {result.derived['initial_charge']}, points = {len(trace)}")
+                    f"N0 = {result.derived['initial_charge']}, points = {len(trace)}"), None
 
 
-# fit model -> (fit returning (result, summary line), its own flags)
+# fit model -> (fit returning (result, summary line, error line for a
+# requested file it could not write, or None), its own flags)
 FIT_MODELS = {
     "exp": (_fit_exp, {
         "--uv-on": dict(type=float, default=0.0,
@@ -169,7 +174,7 @@ FIT_MODELS = {
 
 def _cmd_fit(args) -> int:
     try:
-        result, summary = args.fit(args)
+        result, summary, error = args.fit(args)
     except (io.DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -180,6 +185,9 @@ def _cmd_fit(args) -> int:
     io.write_json(out, io.fit_result_to_dict(result, model=args.model))
     print(summary)
     print(out)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
 

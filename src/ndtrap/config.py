@@ -127,14 +127,18 @@ class Scenario:
 
     # -- domain object builders ------------------------------------------
 
+    def charge_sign(self) -> int:
+        """-1 for a negative particle (the default), +1 for a positive one."""
+        return -1 if self.get("particle", "charge_sign", "negative") == "negative" else 1
+
     def particle(self) -> Particle:
         radius = self.get("particle", "radius")
         if radius is None:
             diameter = self.require("particle", "diameter")
             radius = diameter / 2.0
-        sign = -1 if self.get("particle", "charge_sign", "negative") == "negative" else 1
         charge = self.get("run", "initial_charge")
-        return Particle(radius=radius, charge_count=charge if charge is not None else sign,
+        return Particle(radius=radius,
+                        charge_count=charge if charge is not None else self.charge_sign(),
                         **self.given("particle", "material_density"))
 
     def trap(self) -> TrapConfig:

@@ -45,8 +45,7 @@ def build_charge_sampler(spec: str, sign: int):
 
 
 def _sampler_from(sc: Scenario):
-    sign = -1 if sc.get("particle", "charge_sign", "negative") == "negative" else 1
-    return build_charge_sampler(sc.get("run", "charge_sampler", "envelope"), sign)
+    return build_charge_sampler(sc.get("run", "charge_sampler", "envelope"), sc.charge_sign())
 
 
 def _survival_kwargs(sc: Scenario) -> dict:

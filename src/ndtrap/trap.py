@@ -13,6 +13,7 @@ practically trapped for q inside the configured band, default (0.1, 0.9).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,10 +25,6 @@ from .constants import (AIR_MOLECULE_MASS, BOLTZMANN, ELEMENTARY_CHARGE,
                         ROOM_TEMPERATURE)
 from .core import Particle, TrapConfig
 from .units import torr_to_pa
-
-# first-order pseudopotential formula f_sec = q f_drive / (2 sqrt(2)) holds
-# well below this q
-FIRST_ORDER_Q_LIMIT = 0.4
 
 MIN_STEPS_PER_PERIOD = 200
 
@@ -41,6 +38,9 @@ BOUNDARY_GROWTH = 1e4
 # noise-free motion goes in blocks of whole drive periods whose per-step
 # positions fill about this many float64 values (128 KB)
 BLOCK_STEPS = 16_384
+# relative margin on the per-period escape bound, far above its few ulp of
+# rounding
+BOUND_SLACK = 1e-12
 
 
 def stability_parameter(particle: Particle, trap: TrapConfig) -> float:
@@ -67,28 +67,10 @@ def secular_frequency(particle: Particle, trap: TrapConfig) -> float:
 
     Strictly proportional to |charge_count|, which is what makes the
     frequency-lattice charge readout work.  Only approximate above
-    q = 0.4; see stability_report for the validity flag.
+    q = 0.4.
     """
     q = stability_parameter(particle, trap)
     return q / (2.0 * math.sqrt(2.0)) * trap.drive_frequency
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    q: float
-    stable: bool
-    secular_frequency: float      # Hz, first-order formula
-    first_order_valid: bool       # False when q >= 0.4
-
-
-def stability_report(particle: Particle, trap: TrapConfig) -> StabilityReport:
-    q = stability_parameter(particle, trap)
-    return StabilityReport(
-        q=q,
-        stable=is_stable(q, trap.stability_band),
-        secular_frequency=q / (2.0 * math.sqrt(2.0)) * trap.drive_frequency,
-        first_order_valid=q < FIRST_ORDER_Q_LIMIT,
-    )
 
 
 def damping_rate(particle: Particle, pressure_torr: float) -> float:
@@ -242,12 +224,21 @@ def _advance_by_period_map(stiffness_table, dt, n_steps, damping, x0, v0,
                            escape_radius, sample_stride):
     """Noise-free RK4 by whole periods: y <- M y once per period, and the
     position after step j of a period as row 0 of Phi_j applied to the state
-    at the period's start.  Periods go in blocks of about BLOCK_STEPS steps,
-    so temporaries stay small and only the strided samples are kept.  A
-    position that overflows is not finite and counts as escaped."""
+    at the period's start.  A position that overflows is not finite and
+    counts as escaped.
+
+    No step of a period that starts at (x, v) leaves the escape radius while
+    (A0 |x| + A1 |v|) (1 + BOUND_SLACK) is within it, A0 and A1 the largest
+    |p00| and |p01| of the period.  When samples are sparser than periods,
+    runs of such periods cost only the recurrence and their samples; other
+    periods go in blocks of about BLOCK_STEPS steps, with every position of
+    the block computed and tested, and only the strided samples kept.
+    """
     p00, p01, p10, p11 = _period_products(stiffness_table, dt, damping)
     n = len(p00)
     m00, m01, m10, m11 = (float(p[-1]) for p in (p00, p01, p10, p11))
+    a0, a1 = (float(np.max(np.abs(p))) * (1.0 + BOUND_SLACK) for p in (p00, p01))
+    sparse = sample_stride > n
     x, v = float(x0), float(v0)
     chunks = [np.array([x])]
     final = (x, v)
@@ -255,34 +246,54 @@ def _advance_by_period_map(stiffness_table, dt, n_steps, damping, x0, v0,
     done = 0                          # steps before the current block
     while done < n_steps:
         starts = []
+        bounded = sparse              # no step of the block can escape
         for _ in range(min(block, -(-(n_steps - done) // n))):
+            if bounded and not a0 * abs(x) + a1 * abs(v) <= escape_radius:
+                if starts:
+                    break             # the bounded periods so far are a block
+                bounded = False
             starts.append((x, v))
             x, v = m00 * x + m01 * v, m10 * x + m11 * v
             if not abs(x) <= escape_radius:
                 break                 # the escape lies in this block
-        y = np.array(starts)
-        # positions after steps done + 1, done + 2, ... of this block
-        pos = (y[:, :1] * p00 + y[:, 1:] * p01).ravel()[:n_steps - done]
+        length = min(len(starts) * n, n_steps - done)
         first = (-done - 1) % sample_stride
-        inside = np.abs(pos) <= escape_radius
-        escaped = not inside.all()
-        last = int(np.argmin(inside)) if escaped else len(pos) - 1
+        if bounded:
+            kept = np.array([starts[i // n][0] * p00[i % n]
+                             + starts[i // n][1] * p01[i % n]
+                             for i in range(first, length, sample_stride)],
+                            dtype=float)
+            escaped, last = False, length - 1
+        else:
+            y = np.array(starts)
+            # positions after steps done + 1, done + 2, ... of this block
+            pos = (y[:, :1] * p00 + y[:, 1:] * p01).ravel()[:length]
+            inside = np.abs(pos) <= escape_radius
+            escaped = not inside.all()
+            last = int(np.argmin(inside)) if escaped else length - 1
+            kept = pos[first:last if escaped else None:sample_stride]
         period, j = divmod(last, n)
         xk, vk = starts[period]
         final = (float(p00[j] * xk + p01[j] * vk), float(p10[j] * xk + p11[j] * vk))
+        chunks.append(kept)
         if escaped:
-            chunks.append(pos[first:last:sample_stride])
             return np.concatenate(chunks), True, done + last + 1, final
-        chunks.append(pos[first::sample_stride])
-        done += len(pos)
+        done += length
     return np.concatenate(chunks), False, -1, final
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_cosines(steps_per_period):
+    """cos(pi j / n) for j = 0 .. 2n - 1, read-only."""
+    n = steps_per_period
+    out = np.array([math.cos(math.pi * j / n) for j in range(2 * n)])
+    out.flags.writeable = False
+    return out
 
 
 def _mathieu_stiffness_table(q, omega, steps_per_period):
     """k(t) = (q Omega^2 / 2) cos(Omega t) on the half-step grid of one period."""
-    amp = 0.5 * q * omega * omega
-    n = steps_per_period
-    return [amp * math.cos(math.pi * j / n) for j in range(2 * n)]
+    return 0.5 * q * omega * omega * _unit_cosines(steps_per_period)
 
 
 def integrate_mathieu(q, drive_frequency, duration, damping=0.0,

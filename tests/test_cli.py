@@ -160,6 +160,23 @@ def test_fit_exp_band_on_bundled_survival_curve(tmp_path):
     check_fit_exp(tmp_path, tmp_path / "sim" / "survival.csv", uv_on=20.0)
 
 
+def test_fit_exp_band_on_no_decay_curve_exit_1(tmp_path, capsys):
+    # the no-UV control does not decay (tau = inf), so there is no band to
+    # write: the fit JSON is still written, one stderr line names the
+    # flags and the exit code says the requested band is missing
+    cfg = write_scenario(tmp_path, "control_no_uv")
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    out, band = tmp_path / "exp.json", tmp_path / "band.csv"
+    code = main(["fit", "exp", str(tmp_path / "sim" / "survival.csv"), "--uv-on", "20",
+                 "--out", str(out), "--band", str(band)])
+    assert code == 1
+    assert json.loads(out.read_text())["flags"] == ["no_decay"]
+    assert not band.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--band" in err[0] and "no_decay" in err[0]
+
+
 @pytest.mark.parametrize("flags", [
     ["sigmoid", bundled_data("fig7_sweep.csv"), "--band", "band.csv"],
     ["lattice", bundled_data("fig9_steps.csv"), "--uv-on", "3", "--fit-space", "linear"],

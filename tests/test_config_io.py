@@ -55,6 +55,16 @@ def test_parse_minimal():
     assert trap.voltage_amplitude == 2250.0
 
 
+def test_charge_sign_default_negative():
+    # one reading of [particle] charge_sign: the particle's unit charge and
+    # the charge sampler both take it, negative when the key is absent
+    assert parse_scenario_text(MINIMAL).charge_sign() == -1
+    unset = parse_scenario_text(MINIMAL.replace("charge_sign = negative\n", ""))
+    assert unset.charge_sign() == -1 and unset.particle().charge_count == -1
+    positive = parse_scenario_text(MINIMAL.replace("= negative", "= positive"))
+    assert positive.charge_sign() == 1 and positive.particle().charge_count == 1
+
+
 def test_round_trip_identity():
     sc = parse_scenario_text(MINIMAL)
     text = serialize_scenario(sc)

@@ -11,10 +11,10 @@ import pytest
 from ndtrap.core import Particle, TrapConfig
 from ndtrap.signal import estimate_secular_frequency
 from ndtrap.trap import (MotionTrace, ParticleLost, _integrate_linear_oscillator,
-                         _mathieu_stiffness_table, damping_rate,
-                         find_mathieu_boundary, integrate_mathieu,
-                         integrate_motion, is_stable, secular_frequency,
-                         stability_parameter, stability_report)
+                         _mathieu_stiffness_table, _period_products,
+                         damping_rate, find_mathieu_boundary,
+                         integrate_mathieu, integrate_motion, is_stable,
+                         secular_frequency, stability_parameter)
 
 RING_TRAP = TrapConfig(voltage_amplitude=2250.0, drive_frequency=140.0,
                        characteristic_radius=3e-3, geometry_factor=1.0)
@@ -139,16 +139,6 @@ def test_secular_invariant_under_q_preserving_scaling():
     assert secular_frequency(micron_particle(60), half_v) == pytest.approx(f_base, rel=1e-12)
 
 
-def test_stability_report_flags():
-    rep = stability_report(micron_particle(100), RING_TRAP)
-    assert not rep.stable          # q ~ 5.6, far outside the band
-    assert not rep.first_order_valid
-    small_eta = TrapConfig(voltage_amplitude=2250.0, drive_frequency=140.0,
-                           characteristic_radius=3e-3, geometry_factor=0.05)
-    rep2 = stability_report(micron_particle(100), small_eta)
-    assert rep2.stable and rep2.first_order_valid
-
-
 def test_damping_rate_pinned_and_linear():
     p = Particle(radius=125e-9, charge_count=1)
     g = damping_rate(p, 0.5)
@@ -195,6 +185,107 @@ def test_noise_free_path_matches_stepwise_rk4(q, damping):
         assert np.max(np.abs(xs - expected)) <= 1e-12 * scale
         assert (np.max(np.abs(np.subtract(final, ref_final)))
                 <= 1e-12 * np.max(np.abs(ref_final)))
+
+
+def test_noise_free_grid_digest_pinned():
+    # every output of the noise-free path over a grid on both sides of the
+    # boundary (q 0.908), pinned byte for byte: samples, lost flag, escape
+    # step and final state, with durations that end mid-period
+    h = hashlib.sha256()
+    n = 256
+    for q in (0.3, 0.7, 0.9, 0.91, 0.92, 1.2, 3.0):
+        tab = _mathieu_stiffness_table(q, 2.0 * math.pi, n)
+        h.update(np.asarray(tab, dtype="<f8").tobytes())
+        for periods in (37.3, 90.61, 400.5):
+            for damping in (0.0, 0.05):
+                for radius in (None, 50.0, 1e4):
+                    for stride in (1, 7, 256, 10_000):
+                        times, xs, lost, t_esc = integrate_mathieu(
+                            q, 1.0, periods, damping=damping, x0=1.0, v0=0.3,
+                            escape_radius=radius, sample_stride=stride)
+                        _, _, step, final = _integrate_linear_oscillator(
+                            tab, 1.0 / n, int(round(periods * n)), damping,
+                            1.0, 0.3, escape_radius=radius,
+                            sample_stride=stride)
+                        h.update(repr((lost, t_esc, step, final)).encode())
+                        if not lost:
+                            h.update(times.astype("<f8").tobytes())
+                            h.update(xs.astype("<f8").tobytes())
+    assert h.hexdigest() == ("3ddeac6a3de6dc32dc18f3822d643557"
+                             "04ecaa9d94f357e5131d0019afa6abf0")
+
+
+def test_escape_radius_between_true_maximum_and_period_bound():
+    # the per-period bound A0 |x| + A1 |v| exceeds the radius in the first
+    # period while no step of the run reaches it: that period's steps are
+    # tested one by one and the run is not lost; just below the true
+    # maximum the run escapes at the reference's step
+    n = 256
+    tab = _mathieu_stiffness_table(0.3, 2.0 * math.pi, n)
+    n_steps = 20 * n + 100
+    x0, v0 = 1.0, 0.3
+    ref, _, _, ref_final = rk4_reference(tab, 1.0 / n, n_steps, 0.0, x0, v0)
+    top = np.max(np.abs(ref))
+    p00, p01, _, _ = _period_products(tab, 1.0 / n, 0.0)
+    bound = np.max(np.abs(p00)) * abs(x0) + np.max(np.abs(p01)) * abs(v0)
+    assert bound > 1.1 * top
+    between, below = 0.5 * (top + bound), top * (1.0 - 1e-6)
+    _, ref_lost, ref_step, _ = rk4_reference(tab, 1.0 / n, n_steps, 0.0, x0, v0,
+                                             escape_radius=below)
+    assert ref_lost
+    for stride in (1, 300):
+        xs, lost, step, final = _integrate_linear_oscillator(
+            tab, 1.0 / n, n_steps, 0.0, x0, v0, escape_radius=between,
+            sample_stride=stride)
+        assert (lost, step) == (False, -1)
+        assert np.max(np.abs(xs - ref[::stride])) <= 1e-12 * top
+        assert np.max(np.abs(np.subtract(final, ref_final))) <= 1e-12 * top
+        _, lost, step, _ = _integrate_linear_oscillator(
+            tab, 1.0 / n, n_steps, 0.0, x0, v0, escape_radius=below,
+            sample_stride=stride)
+        assert (lost, step) == (True, ref_step)
+
+
+def test_escape_bound_tight_from_rest():
+    # from x0 = 1, v0 = 0 the first period's positions are p00 itself, so
+    # its bound equals their maximum: a radius a hair below it must still
+    # catch the escape, at the reference's step
+    n = 256
+    tab = _mathieu_stiffness_table(0.5, 2.0 * math.pi, n)
+    p00, _, _, _ = _period_products(tab, 1.0 / n, 0.0)
+    radius = np.max(np.abs(p00)) * (1.0 - 1e-9)
+    _, ref_lost, ref_step, _ = rk4_reference(tab, 1.0 / n, 10 * n, 0.0, 1.0,
+                                             0.0, escape_radius=radius)
+    assert ref_lost and ref_step <= n
+    for stride in (1, 300):
+        _, lost, step, _ = _integrate_linear_oscillator(
+            tab, 1.0 / n, 10 * n, 0.0, 1.0, 0.0, escape_radius=radius,
+            sample_stride=stride)
+        assert (lost, step) == (True, ref_step)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 256, 10_000])
+def test_escape_in_last_partial_period(stride):
+    # q = 1.2 escapes 1e6 in a few periods; the run ends 4 steps after the
+    # escape, which lies inside its last, partial period
+    n = 256
+    tab = _mathieu_stiffness_table(1.2, 2.0 * math.pi, n)
+    _, lost, esc, _ = rk4_reference(tab, 1.0 / n, 40 * n, 0.0, 1.0, 0.3,
+                                    escape_radius=1e6)
+    assert lost and (esc - 1) % n < n - 5
+    n_steps = esc + 4
+    ref, ref_lost, ref_step, ref_final = rk4_reference(
+        tab, 1.0 / n, n_steps, 0.0, 1.0, 0.3, escape_radius=1e6)
+    assert (ref_lost, ref_step) == (True, esc) and n_steps % n
+    xs, lost, step, final = _integrate_linear_oscillator(
+        tab, 1.0 / n, n_steps, 0.0, 1.0, 0.3, escape_radius=1e6,
+        sample_stride=stride)
+    assert (lost, step) == (True, esc)
+    expected = ref[::stride]
+    assert xs.shape == expected.shape
+    assert np.max(np.abs(xs - expected)) <= 1e-12 * np.max(np.abs(ref))
+    assert (np.max(np.abs(np.subtract(final, ref_final)))
+            <= 1e-12 * np.max(np.abs(ref_final)))
 
 
 def test_mathieu_boundary_location():
