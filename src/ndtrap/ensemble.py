@@ -23,9 +23,6 @@ from .photoemission import EmissionModel, emission_rate, simulate_charge_traject
 
 DEFAULT_FRAME_RATE = 10.0  # Hz, CCD-video style sampling
 
-ESCAPE_CHECK_PERIODS = 400.0
-ESCAPE_CHECK_GROWTH = 1e4
-
 
 @dataclass(frozen=True)
 class SurvivalCurve:
@@ -130,25 +127,19 @@ def fixed_charge_sampler(charge_count: int) -> ChargeSampler:
 
 
 def integrated_escape_check(particle: Particle, trap: TrapConfig) -> bool:
-    """Opt-in high-fidelity loss check: integrate the driven motion for
-    ESCAPE_CHECK_PERIODS drive periods from x0 = 0.01 r0 and report whether
-    |x| grows by ESCAPE_CHECK_GROWTH.
+    """Opt-in dynamical loss check: True when the undamped driven motion at
+    the particle's q grows without bound, i.e. the spectral radius of the
+    RK4 period map exceeds 1 (trap.period_map_radius).
 
     The production loss criterion is the algebraic band check; this spot
     check confirms the dynamical side of it.  Note that only the upper band
     edge is a true parametric instability -- the lower edge (q ~ 0.1)
     models practical confinement limits that the ideal single-axis
-    integration does not contain, so this check cannot replace the band
+    motion does not contain, so this check cannot replace the band
     test there.
     """
-    from .trap import integrate_mathieu, stability_parameter
-    q = stability_parameter(particle, trap)
-    _, _, lost, _ = integrate_mathieu(
-        q, trap.drive_frequency, ESCAPE_CHECK_PERIODS / trap.drive_frequency,
-        x0=0.01 * trap.characteristic_radius,
-        escape_radius=ESCAPE_CHECK_GROWTH * 0.01 * trap.characteristic_radius,
-        sample_stride=10_000)
-    return lost
+    from .trap import period_map_radius, stability_parameter
+    return not period_map_radius(stability_parameter(particle, trap)) <= 1.0
 
 
 def _death_time(rng, particle_template, charge, rate, exit_charge, duration,

@@ -28,19 +28,13 @@ from .units import torr_to_pa
 
 MIN_STEPS_PER_PERIOD = 200
 
-# find_mathieu_boundary: bisection bracket and tolerance on q, and a probe's
-# length in drive periods and the growth of |x| that counts as unstable
+# find_mathieu_boundary: bisection bracket and tolerance on q
 BOUNDARY_BRACKET = (0.5, 1.5)
 BOUNDARY_TOLERANCE = 1e-3
-BOUNDARY_PERIODS = 600
-BOUNDARY_GROWTH = 1e4
 
 # noise-free motion goes in blocks of whole drive periods whose per-step
 # positions fill about this many float64 values (128 KB)
 BLOCK_STEPS = 16_384
-# relative margin on the per-period escape bound, far above its few ulp of
-# rounding
-BOUND_SLACK = 1e-12
 
 
 def stability_parameter(particle: Particle, trap: TrapConfig) -> float:
@@ -224,21 +218,12 @@ def _advance_by_period_map(stiffness_table, dt, n_steps, damping, x0, v0,
                            escape_radius, sample_stride):
     """Noise-free RK4 by whole periods: y <- M y once per period, and the
     position after step j of a period as row 0 of Phi_j applied to the state
-    at the period's start.  A position that overflows is not finite and
-    counts as escaped.
-
-    No step of a period that starts at (x, v) leaves the escape radius while
-    (A0 |x| + A1 |v|) (1 + BOUND_SLACK) is within it, A0 and A1 the largest
-    |p00| and |p01| of the period.  When samples are sparser than periods,
-    runs of such periods cost only the recurrence and their samples; other
-    periods go in blocks of about BLOCK_STEPS steps, with every position of
-    the block computed and tested, and only the strided samples kept.
-    """
+    at the period's start.  Periods go in blocks of about BLOCK_STEPS steps,
+    so temporaries stay small and only the strided samples are kept.  A
+    position that overflows is not finite and counts as escaped."""
     p00, p01, p10, p11 = _period_products(stiffness_table, dt, damping)
     n = len(p00)
     m00, m01, m10, m11 = (float(p[-1]) for p in (p00, p01, p10, p11))
-    a0, a1 = (float(np.max(np.abs(p))) * (1.0 + BOUND_SLACK) for p in (p00, p01))
-    sparse = sample_stride > n
     x, v = float(x0), float(v0)
     chunks = [np.array([x])]
     final = (x, v)
@@ -246,39 +231,25 @@ def _advance_by_period_map(stiffness_table, dt, n_steps, damping, x0, v0,
     done = 0                          # steps before the current block
     while done < n_steps:
         starts = []
-        bounded = sparse              # no step of the block can escape
         for _ in range(min(block, -(-(n_steps - done) // n))):
-            if bounded and not a0 * abs(x) + a1 * abs(v) <= escape_radius:
-                if starts:
-                    break             # the bounded periods so far are a block
-                bounded = False
             starts.append((x, v))
             x, v = m00 * x + m01 * v, m10 * x + m11 * v
             if not abs(x) <= escape_radius:
                 break                 # the escape lies in this block
-        length = min(len(starts) * n, n_steps - done)
+        y = np.array(starts)
+        # positions after steps done + 1, done + 2, ... of this block
+        pos = (y[:, :1] * p00 + y[:, 1:] * p01).ravel()[:n_steps - done]
         first = (-done - 1) % sample_stride
-        if bounded:
-            kept = np.array([starts[i // n][0] * p00[i % n]
-                             + starts[i // n][1] * p01[i % n]
-                             for i in range(first, length, sample_stride)],
-                            dtype=float)
-            escaped, last = False, length - 1
-        else:
-            y = np.array(starts)
-            # positions after steps done + 1, done + 2, ... of this block
-            pos = (y[:, :1] * p00 + y[:, 1:] * p01).ravel()[:length]
-            inside = np.abs(pos) <= escape_radius
-            escaped = not inside.all()
-            last = int(np.argmin(inside)) if escaped else length - 1
-            kept = pos[first:last if escaped else None:sample_stride]
+        inside = np.abs(pos) <= escape_radius
+        escaped = not inside.all()
+        last = int(np.argmin(inside)) if escaped else len(pos) - 1
         period, j = divmod(last, n)
         xk, vk = starts[period]
         final = (float(p00[j] * xk + p01[j] * vk), float(p10[j] * xk + p11[j] * vk))
-        chunks.append(kept)
+        chunks.append(pos[first:last if escaped else None:sample_stride])
         if escaped:
             return np.concatenate(chunks), True, done + last + 1, final
-        done += length
+        done += len(pos)
     return np.concatenate(chunks), False, -1, final
 
 
@@ -302,13 +273,16 @@ def integrate_mathieu(q, drive_frequency, duration, damping=0.0,
                       sample_stride=1):
     """Integrate x'' + gamma x' + (q Omega^2 / 2) cos(Omega t) x = noise.
 
-    Dimensionless-friendly core used by integrate_motion and by the
-    stability-boundary search.  Returns (times, positions, lost, escape_time).
-    Without ``escape_radius`` an unbounded motion is lost at the step where
-    |x| overflows.
+    Dimensionless-friendly core of integrate_motion.  Returns (times,
+    positions, lost, escape_time), positions sampled every ``sample_stride``
+    steps from t = 0.  Every step is tested for escape; without
+    ``escape_radius`` an unbounded motion is lost at the step where |x|
+    overflows.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be >= 1")
     if steps_per_period < MIN_STEPS_PER_PERIOD:
         raise ValueError(
             f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD} "
@@ -347,6 +321,8 @@ def integrate_motion(particle: Particle, trap: TrapConfig, duration: float,
     step_rate = trap.drive_frequency * steps_per_period
     if sample_rate is None:
         stride = 1
+    elif not 0.0 < sample_rate < math.inf:
+        raise ValueError("sample_rate must be positive and finite")
     else:
         stride = max(1, int(round(step_rate / sample_rate)))
     dt = 1.0 / step_rate
@@ -365,26 +341,38 @@ def integrate_motion(particle: Particle, trap: TrapConfig, duration: float,
     return MotionTrace(sample_rate=step_rate / stride, times=times, positions=xs, q=q)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def period_map_radius(q: float) -> float:
+    """Spectral radius of the undamped RK4 period map M at q, 256 steps per
+    drive period: the largest growth per period of any motion.
+
+    The motion is bounded iff the radius is <= 1.  A map that overflows
+    gives NaN, so callers test ``not radius <= 1.0`` to read it as unstable.
+    """
+    n = 256
+    p00, p01, p10, p11 = _period_products(
+        _mathieu_stiffness_table(q, 2.0 * math.pi, n), 1.0 / n, 0.0)
+    half_tr = 0.5 * (p00[-1] + p11[-1])
+    det = p00[-1] * p11[-1] - p01[-1] * p10[-1]
+    disc = half_tr * half_tr - det
+    if disc >= 0.0:
+        return float(abs(half_tr) + np.sqrt(disc))
+    return float(np.sqrt(det))
+
+
 def find_mathieu_boundary() -> float:
     """Locate the a = 0 Mathieu stability boundary by bisection on q.
 
-    A probe counts as unstable when |x| grows by BOUNDARY_GROWTH over
-    BOUNDARY_PERIODS drive periods starting from x0 = 1, v0 = 0, no damping;
-    the bisection runs over BOUNDARY_BRACKET to BOUNDARY_TOLERANCE in q.
-    The known boundary is q ~ 0.908.
+    A q counts as unstable when its period map's spectral radius exceeds 1
+    (see period_map_radius); the bisection runs over BOUNDARY_BRACKET to
+    BOUNDARY_TOLERANCE in q.  The known boundary is q ~ 0.908.
     """
-    def unstable(q):
-        _, _, lost, _ = integrate_mathieu(
-            q, 1.0, BOUNDARY_PERIODS, damping=0.0, x0=1.0, v0=0.0,
-            escape_radius=BOUNDARY_GROWTH, sample_stride=256)
-        return lost
-
     lo, hi = BOUNDARY_BRACKET
-    if unstable(lo) or not unstable(hi):
+    if not period_map_radius(lo) <= 1.0 or period_map_radius(hi) <= 1.0:
         raise ValueError("bracket does not straddle the stability boundary")
     while hi - lo > BOUNDARY_TOLERANCE:
         mid = 0.5 * (lo + hi)
-        if unstable(mid):
+        if not period_map_radius(mid) <= 1.0:
             hi = mid
         else:
             lo = mid

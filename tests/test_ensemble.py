@@ -232,6 +232,30 @@ def test_integrated_escape_spot_check():
     assert not integrated_escape_check(PARTICLE.with_charge(-100), RING)
 
 
+def test_escape_check_matches_400_period_growth_criterion():
+    # the period-map test agrees with the growth criterion it replaced
+    # (integrate 400 drive periods from 0.01 r0; lost when |x| passes
+    # 1e4 x 0.01 r0) for every fig9 charge with q in [0.6, 1.2].  The two
+    # differ only for q between about 0.90805 and 0.9082, where the growth
+    # takes more than 400 periods; no fig9 charge lies there
+    from ndtrap.ensemble import integrated_escape_check
+    from ndtrap.runner import load_bundled_scenario
+    from ndtrap.trap import integrate_mathieu, stability_parameter
+    sc = load_bundled_scenario("fig9_steps")
+    particle, trap = sc.particle(), sc.trap()
+    x0 = 0.01 * trap.characteristic_radius
+    charges = [c for c in range(1, 400)
+               if 0.6 <= stability_parameter(particle.with_charge(c), trap) <= 1.2]
+    assert len(charges) == 106
+    for c in charges:
+        q = stability_parameter(particle.with_charge(c), trap)
+        assert not 0.90805 < q < 0.9082
+        _, _, lost, _ = integrate_mathieu(
+            q, trap.drive_frequency, 400.0 / trap.drive_frequency, x0=x0,
+            escape_radius=1e4 * x0, sample_stride=10_000)
+        assert integrated_escape_check(particle.with_charge(c), trap) == lost
+
+
 def test_qualitative_timeline_shape():
     # a 19-particle load in the calibrated decay scenario passes near the
     # reference count timeline 19 -> 12 -> 5 -> 1 over 100 s (shape only)

@@ -14,7 +14,8 @@ from ndtrap.trap import (MotionTrace, ParticleLost, _integrate_linear_oscillator
                          _mathieu_stiffness_table, _period_products,
                          damping_rate, find_mathieu_boundary,
                          integrate_mathieu, integrate_motion, is_stable,
-                         secular_frequency, stability_parameter)
+                         period_map_radius, secular_frequency,
+                         stability_parameter)
 
 RING_TRAP = TrapConfig(voltage_amplitude=2250.0, drive_frequency=140.0,
                        characteristic_radius=3e-3, geometry_factor=1.0)
@@ -216,10 +217,10 @@ def test_noise_free_grid_digest_pinned():
 
 
 def test_escape_radius_between_true_maximum_and_period_bound():
-    # the per-period bound A0 |x| + A1 |v| exceeds the radius in the first
-    # period while no step of the run reaches it: that period's steps are
-    # tested one by one and the run is not lost; just below the true
-    # maximum the run escapes at the reference's step
+    # a radius above the run's largest |x| but below the loose estimate
+    # max|p00| |x0| + max|p01| |v0| is never reached, so the run is not
+    # lost, at any stride; a radius just below the largest |x| is passed,
+    # at the reference's step
     n = 256
     tab = _mathieu_stiffness_table(0.3, 2.0 * math.pi, n)
     n_steps = 20 * n + 100
@@ -248,8 +249,8 @@ def test_escape_radius_between_true_maximum_and_period_bound():
 
 def test_escape_bound_tight_from_rest():
     # from x0 = 1, v0 = 0 the first period's positions are p00 itself, so
-    # its bound equals their maximum: a radius a hair below it must still
-    # catch the escape, at the reference's step
+    # a radius a hair below their largest |x| is passed within that
+    # period, and the escape must be reported at the reference's step
     n = 256
     tab = _mathieu_stiffness_table(0.5, 2.0 * math.pi, n)
     p00, _, _, _ = _period_products(tab, 1.0 / n, 0.0)
@@ -291,8 +292,32 @@ def test_escape_in_last_partial_period(stride):
 def test_mathieu_boundary_location():
     q_star = find_mathieu_boundary()
     assert q_star == pytest.approx(0.908, abs=0.01)
-    # the bisection's exact end point, pinned from the stepwise integrator
+    # the bisection's exact end point at its 1e-3 tolerance in q
     assert q_star == 0.90771484375
+
+
+@pytest.mark.parametrize("q", [0.923, 1.0, 1.15])
+def test_period_map_radius_matches_stepwise_growth(q):
+    # beyond the boundary the fastest mode dominates by period 40, so the
+    # stepwise reference grows by the radius per period from there on
+    n = 256
+    tab = _mathieu_stiffness_table(q, 2.0 * math.pi, n)
+    xs, lost, _, _ = rk4_reference(tab, 1.0 / n, 60 * n, 0.0, 1.0, 0.0)
+    assert not lost
+    growth = (abs(xs[60 * n]) / abs(xs[40 * n])) ** (1.0 / 20.0)
+    assert growth == pytest.approx(period_map_radius(q), rel=1e-9)
+
+
+def test_period_map_radius_stable_and_overflow():
+    for q in (0.3, 0.7, 0.9):
+        assert period_map_radius(q) <= 1.0
+    # the undriven map is a free drift [[1, T], [0, 1]]
+    assert period_map_radius(0.0) == 1.0
+    # a map that overflows reads as unstable, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radius = period_map_radius(1e8)
+    assert math.isnan(radius) and not radius <= 1.0
 
 
 def test_integrate_mathieu_overflow_reports_lost():
@@ -329,6 +354,21 @@ def test_integrate_motion_zero_charge_zero_init_is_flat():
                               x0=0.0, v0=0.0)
     assert isinstance(result, MotionTrace)
     assert np.all(result.positions == 0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("sample_stride", -3), ("sample_stride", 0), ("sample_rate", -5.0),
+    ("sample_rate", 0.0), ("sample_rate", math.inf), ("sample_rate", math.nan)])
+def test_integrator_rejects_bad_sampling(name, value):
+    # a negative stride read the trace backwards, a zero stride or rate
+    # divided by zero, a negative or infinite rate sampled every step, and
+    # a NaN rate failed inside int()
+    with pytest.raises(ValueError, match=name):
+        if name == "sample_stride":
+            integrate_mathieu(0.3, 1.0, 1.0, sample_stride=value)
+        else:
+            integrate_motion(micron_particle(1), RING_TRAP, 0.01,
+                             sample_rate=value)
 
 
 def test_integrate_motion_minimum_resolution_enforced():
