@@ -238,6 +238,11 @@ def parse_scenario_text(text: str) -> Scenario:
         key = key.strip()
         section_name = next(n for n, s in sections.items() if s is current)
         current[key] = _parse_value(section_name, key, raw_value.strip(), line_no)
+        sign = sections.get("particle", {}).get("charge_sign")
+        charge = sections.get("run", {}).get("initial_charge")
+        if sign and charge and (charge < 0) != (sign == "negative"):
+            raise ConfigError(f"[run] initial_charge = {charge} contradicts [particle] "
+                              f"charge_sign = {sign}", line_no)
 
     meta = sections.get("scenario", {})
     for required in ("name", "kind", "seed"):

@@ -1,11 +1,11 @@
 """Multi-particle lifetime experiments: N trapped particles under UV, each
-evolving an independent single-electron charge trajectory, dying when its
-stability parameter leaves the trap band.  Produces survival curves and the
+losing electrons at a constant per-electron rate, dying when its stability
+parameter leaves the trap band.  Produces survival curves and the
 lifetime-vs-wavelength / lifetime-vs-size sweep tables.
 
-Determinism contract: per-particle generators are spawned from the master
-seed with numpy SeedSequence, so results are bit-identical for a given seed
-regardless of evaluation order.
+Determinism contract: a curve draws from one generator, ``default_rng(seed)``,
+one array at a time; a sweep spawns one seed per point with numpy
+SeedSequence.  Results are bit-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from .core import Particle, TrapConfig, UVSource, charge_envelope
 from .fitters import FitError, fit_exponential
-from .photoemission import EmissionModel, emission_rate, simulate_charge_trajectory
+# unused here; perfbench/tracer.py wraps this module's simulate_charge_trajectory
+from .photoemission import EmissionModel, emission_rate, simulate_charge_trajectory  # noqa: F401
 
 DEFAULT_FRAME_RATE = 10.0  # Hz, CCD-video style sampling
 
@@ -41,7 +42,7 @@ class SurvivalCurve:
         if len(n):
             if n[0] != self.n0:
                 raise ValueError("curve must start at n0")
-            if np.any(np.diff(n) > 0):
+            if (n[1:] > n[:-1]).any():
                 raise ValueError("n_alive must be non-increasing")
             if np.any(n < 0):
                 raise ValueError("counts must be non-negative")
@@ -61,14 +62,16 @@ def stable_charge_range(particle_template: Particle, trap: TrapConfig) -> tuple:
     return max(lo, 1), hi
 
 
-ChargeSampler = Callable[[Particle, TrapConfig], Callable[[np.random.Generator], int]]
-"""Initial-charge sampler, bound once per particle template.
-
-``sampler(particle, trap)`` does all the work that depends only on the
-template and the trap, and raises there if they admit no charge; the
-``draw(rng) -> int`` it returns is called once per particle and costs little
-more than its random draw.  ``simulate_survival`` binds it once per run.
+ChargeSampler = Callable[[Particle, TrapConfig], Callable[[np.random.Generator, int], np.ndarray]]
+"""Initial-charge sampler: ``sampler(particle, trap)`` does the work that depends
+only on the template and the trap, raising there if they admit no charge, and
+returns ``draw(rng, n)``, the charges of n particles as one integer array.
 """
+
+
+def _log_uniform_counts(rng, n, log_lo, log_hi, c_lo, c_hi):
+    """n integer counts, rounded from a log-uniform draw and clipped to [c_lo, c_hi]."""
+    return np.clip(np.rint(np.exp(rng.uniform(log_lo, log_hi, n))).astype(int), c_lo, c_hi)
 
 
 def envelope_charge_sampler(sign: int = -1) -> ChargeSampler:
@@ -88,11 +91,7 @@ def envelope_charge_sampler(sign: int = -1) -> ChargeSampler:
                 "adjust the trap geometry factor or drive")
         log_lo, log_hi = math.log(lo), math.log(hi)
         c_lo, c_hi = math.ceil(lo), math.floor(hi)
-
-        def draw(rng):
-            count = int(round(math.exp(rng.uniform(log_lo, log_hi))))
-            return sign * min(max(count, c_lo), c_hi)
-        return draw
+        return lambda rng, n: sign * _log_uniform_counts(rng, n, log_lo, log_hi, c_lo, c_hi)
     return sampler
 
 
@@ -110,65 +109,42 @@ def margin_charge_sampler(margin_lo: int, margin_hi: int, sign: int = -1) -> Cha
     def sampler(particle, trap):
         s_lo, s_hi = stable_charge_range(particle, trap)
 
-        def draw(rng):
-            margin = int(round(math.exp(rng.uniform(log_lo, log_hi))))
-            count = s_lo + min(max(margin, margin_lo), margin_hi)
-            if count > s_hi:
+        def draw(rng, n):
+            counts = s_lo + _log_uniform_counts(rng, n, log_lo, log_hi, margin_lo, margin_hi)
+            if (counts > s_hi).any():
                 raise ValueError("margin sampler exceeds the stable band ceiling")
-            return sign * count
+            return sign * counts
         return draw
     return sampler
 
 
 def fixed_charge_sampler(charge_count: int) -> ChargeSampler:
     def sampler(particle, trap):
-        return lambda rng: charge_count
+        return lambda rng, n: np.full(n, charge_count)
     return sampler
 
 
 def integrated_escape_check(particle: Particle, trap: TrapConfig) -> bool:
     """Opt-in dynamical loss check: True when the undamped driven motion at
     the particle's q grows without bound, i.e. the spectral radius of the
-    RK4 period map exceeds 1 (trap.period_map_radius).
-
-    The production loss criterion is the algebraic band check; this spot
-    check confirms the dynamical side of it.  Note that only the upper band
-    edge is a true parametric instability -- the lower edge (q ~ 0.1)
-    models practical confinement limits that the ideal single-axis
-    motion does not contain, so this check cannot replace the band
-    test there.
+    RK4 period map exceeds 1 (trap.period_map_radius).  It confirms the
+    algebraic band check at the upper edge only: the lower edge (q ~ 0.1)
+    models confinement limits that the ideal single-axis motion lacks.
     """
     from .trap import period_map_radius, stability_parameter
     return not period_map_radius(stability_parameter(particle, trap)) <= 1.0
 
 
-def _death_time(rng, particle_template, charge, rate, exit_charge, duration,
-                uv_on_time, background_rate):
-    """First time a particle of this charge leaves the band (or inf).
-
-    ``rate`` is the per-electron emission rate and ``exit_charge`` the first
-    charge below the band floor, both fixed by the template; emission moves
-    charge_count positive-ward, so it discharges a negative particle down
-    through the band floor, while positive particles do not emit.
-    """
-    t_bg = rng.exponential(1.0 / background_rate) if background_rate > 0 else math.inf
-    t_uv = math.inf
-    if charge < 0 and rate > 0 and uv_on_time < duration:
-        traj = simulate_charge_trajectory(
-            particle_template.with_charge(charge), rate, duration - uv_on_time,
-            direction="emit", rng=rng, floor_charge=exit_charge)
-        if traj.n_events and traj.final_charge == exit_charge:
-            t_uv = uv_on_time + float(traj.times[-1])
-    return min(t_bg, t_uv)
-
-
 def _survival_curve(deaths, duration, frame_rate, uv_on_time) -> SurvivalCurve:
     """Survivors at each frame of ``duration`` from one death time per particle."""
     n0 = len(deaths)
-    times = np.arange(int(math.floor(duration * frame_rate)) + 1) / frame_rate
-    # a death counts from the first frame at or after it; later ones fall in the dropped bin
-    first = np.searchsorted(times, deaths)
-    alive = n0 - np.cumsum(np.bincount(first, minlength=len(times) + 1)[:len(times)])
+    times = np.arange(int(math.floor(duration * frame_rate)) + 1, dtype=float)
+    times /= frame_rate
+    # a death counts from the first frame at or after it; later ones fall in the
+    # dropped bin.  In place: a frame-sized temporary costs as much as the draw.
+    alive = np.bincount(np.searchsorted(times, deaths), minlength=len(times) + 1)[:len(times)]
+    np.cumsum(alive, out=alive)
+    np.subtract(n0, alive, out=alive)
     return SurvivalCurve(times=times, n_alive=alive, n0=n0, uv_on_time=uv_on_time)
 
 
@@ -180,37 +156,37 @@ def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
                       background_rate: float = 0.0) -> SurvivalCurve:
     """Simulate n0 independent particles and count survivors over time.
 
-    Each particle draws an initial charge, evolves an independent
-    single-electron emission trajectory once the UV turns on, and dies the
-    moment its stability parameter exits the trap band.  The curve is
-    sampled at ``frame_rate``.  ``background_rate`` adds a UV-independent
-    exponential loss channel (the no-UV control rate); UV emission acts on
-    negatively charged particles only.
+    Each particle draws an initial charge and dies the moment its stability
+    parameter exits the trap band: once the UV turns on, a negative particle
+    k electrons above the exit charge leaves at a Gamma(k, 1/rate) time, the
+    k-th event of its constant-rate emission.  The curve is sampled at
+    ``frame_rate``.  ``background_rate`` adds a UV-independent exponential
+    loss channel (the no-UV control rate).
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
     if duration <= 0 or frame_rate <= 0:
         raise ValueError("duration and frame_rate must be positive")
     if charge_sampler is None:
-        sign = -1 if particle_template.charge_count <= 0 else 1
-        charge_sampler = envelope_charge_sampler(sign=sign)
+        charge_sampler = envelope_charge_sampler(-1 if particle_template.charge_count <= 0 else 1)
 
     # everything that does not depend on the drawn charge is fixed by the template
     s_lo, s_hi = stable_charge_range(particle_template, trap)
     rate = emission_rate(model, source, particle_template)
-    draw_charge = charge_sampler(particle_template, trap)
-    deaths = np.empty(n0)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seqs = root.spawn(n0)
-    for i in range(n0):
-        rng = np.random.default_rng(seqs[i])
-        charge = draw_charge(rng)
-        if not s_lo <= abs(charge) <= s_hi:
-            raise ValueError(f"initial charge {charge} is outside the stable band "
-                             f"({s_lo} to {s_hi} e)")
-        deaths[i] = _death_time(rng, particle_template, charge, rate, 1 - s_lo,
-                                duration, uv_on_time, background_rate)
-    return _survival_curve(deaths, duration, frame_rate, uv_on_time)
+    rng = np.random.default_rng(seed)
+    charges = np.asarray(charge_sampler(particle_template, trap)(rng, n0))
+    outside = (np.abs(charges) < s_lo) | (np.abs(charges) > s_hi)
+    if outside.any():
+        raise ValueError(f"initial charge {charges[outside.argmax()]} is outside the "
+                         f"stable band ({s_lo} to {s_hi} e)")
+    t_bg = rng.exponential(1.0 / background_rate, n0) if background_rate > 0 else math.inf
+    deaths = np.full(n0, math.inf)
+    if rate > 0 and uv_on_time < duration:
+        # emission moves charge_count up through the band floor to 1 - s_lo; only negatives emit
+        negative = charges < 0
+        g = rng.gamma(1 - s_lo - charges[negative], 1.0 / rate)
+        deaths[negative] = np.where(g < duration - uv_on_time, uv_on_time + g, math.inf)
+    return _survival_curve(np.minimum(deaths, t_bg), duration, frame_rate, uv_on_time)
 
 
 def exponential_survival_curve(n0: int, tau: float, duration: float, seed: int,
@@ -223,8 +199,7 @@ def exponential_survival_curve(n0: int, tau: float, duration: float, seed: int,
     """
     if n0 < 1 or tau <= 0 or duration <= 0:
         raise ValueError("n0, tau and duration must be positive")
-    rng = np.random.default_rng(seed)
-    deaths = uv_on_time + rng.exponential(tau, n0)
+    deaths = uv_on_time + np.random.default_rng(seed).exponential(tau, n0)
     return _survival_curve(deaths, duration, frame_rate, uv_on_time)
 
 
@@ -236,12 +211,8 @@ def _sweep_lifetime(curve) -> SweepPoint:
         result = fit_exponential(curve)
     except FitError as exc:
         return SweepPoint(math.nan, math.nan, math.nan, ("fit_failed", str(exc)))
-    flags = result.flags
-    tau = result.parameters["tau"]
-    err = result.errors["tau"]
-    if not result.converged:
-        flags = flags + ("not_converged",)
-    return SweepPoint(math.nan, tau, err, flags)
+    flags = result.flags + (() if result.converged else ("not_converged",))
+    return SweepPoint(math.nan, result["tau"], result.errors["tau"], flags)
 
 
 # axis -> (fewest values, how one value sets the particle and the source)

@@ -277,6 +277,39 @@ def _minimise_log_tau(runs, u0: float, u_lo: float, u_hi: float):
     return u, n, MAX_ITERATIONS, "max_iterations"
 
 
+def _log_linear_slope(runs) -> float:
+    """np.polyfit's slope of log y on t over frames with y > 0 (0 without two such values):
+    a run of L frames centred c from the mean time adds L c^2 + spacing^2 L (L^2-1) / 12."""
+    starts, spacing, lengths, values = runs
+    pos = values > 0
+    if lengths[pos].sum() < 2 or np.ptp(values[pos]) == 0:
+        return 0.0
+    w = lengths[pos]
+    c = starts[pos] + 0.5 * spacing * (w - 1.0)
+    c -= np.dot(w, c) / w.sum()
+    sxx = np.dot(w, c * c) + spacing * spacing * np.dot(w, w * w - 1.0) / 12.0
+    return float(np.dot(w * c, np.log(values[pos])) / sxx)
+
+
+def _residual_sum(runs, tau: float, n: float) -> float:
+    """Sum over every frame of (y - n exp(-t/tau))^2: per run, L (y - mean model)^2
+    plus m^2 sum_{k<L} (r^k - mean r^k)^2, m its first model value, r = exp(-x).
+    That spread's closed form S0(2x) - S0(x)^2 / L cancels to about eps / (x L)^2,
+    so runs with x L < 1 take it from d_k = expm1(-x k) by shared prefix sums."""
+    starts, spacing, lengths, values = runs
+    x = spacing / tau
+    s0, _, _ = _geometric_moments(x, lengths)
+    spreads = _geometric_moments(2.0 * x, lengths)[0] - s0 * s0 / lengths
+    short = x * lengths < 1.0
+    if short.any():
+        d = np.expm1(-x * np.arange(int(lengths[short].max())))
+        last = lengths[short].astype(int) - 1
+        spreads[short] = np.cumsum(d * d)[last] - np.cumsum(d)[last] ** 2 / lengths[short]
+    m = n * np.exp(-starts / tau)
+    mean_resid = values - m * s0 / lengths
+    return float(np.dot(lengths, mean_resid * mean_resid) + np.dot(m * m, spreads))
+
+
 def _no_decay_result(y: np.ndarray) -> FitResult:
     n0 = float(np.mean(y))
     return FitResult(param_names=("n0", "tau"),
@@ -294,50 +327,44 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     Times are measured from the UV turn-on.  Non-decaying data comes back
     converged with a very large tau and the ``no_decay`` flag.
 
-    The least-squares fit is exact and costs the curve's runs, not its
-    frames: on one evenly spaced grid the frames group into runs of equal
-    value (any other curve is fit frame by frame, as runs of length 1), N0
-    is linear with N0(tau) = A/B, and the profile objective -A^2/B is
-    minimised over log tau by Newton on its analytic derivatives, which are
-    per-run geometric sums.  The covariance is the least-squares one from
-    the same sums.
+    The least-squares fit is exact and, past the pass that finds the runs of
+    equal value on one even grid (other curves are runs of one frame), costs
+    runs: the start, Newton on the profile -A^2/B over log tau (N0 = A/B),
+    the residual and the covariance are per-run closed-form sums.
 
     On integer count data the tau standard error is the survival statistic
     tau / sqrt(observed deaths): the residual-based covariance badly
     underestimates on counting curves, whose deviations are correlated
-    across time.  Other data keeps the plain least-squares covariance,
-    appropriate for independent noise.
+    across time.  Other data keeps the plain least-squares covariance.
     """
     t = np.asarray(curve.times, dtype=float)
-    y = np.asarray(curve.n_alive, dtype=float)
+    y = np.asarray(curve.n_alive)
     if uv_on_time is None:
         uv_on_time = getattr(curve, "uv_on_time", 0.0)
-    mask = t >= uv_on_time
-    t = t[mask] - uv_on_time
-    y = y[mask]
+    after = t >= uv_on_time
+    if not after.all():
+        t, y = t[after], y[after]
+    # the steps are the one frame-sized float temporary; each costs as much as the run fit
     dt = np.diff(t)
-    distinct = 1 + np.count_nonzero(dt) if (dt >= 0).all() else len(np.unique(t))
+    step_lo, step_hi = (dt.min(), dt.max()) if len(dt) else (0.0, 0.0)
+    distinct = 1 + np.count_nonzero(dt) if step_lo >= 0 else len(np.unique(t))
     if distinct < 3:
         raise DegenerateFitError("need at least 3 distinct times after UV on")
-    t0, span = float(np.min(t)), float(np.ptp(t))
-
-    pos = y > 0
-    if pos.sum() >= 2 and np.ptp(y[pos]) > 0:
-        slope, _ = np.polyfit(t[pos], np.log(y[pos]), 1)
-    else:
-        slope = 0.0
-    if slope >= -1e-12:
-        return _no_decay_result(y)
-
+    t0, span = float(np.min(t)) - uv_on_time, float(np.ptp(t))
     spacing = (t[-1] - t[0]) / (len(t) - 1)
-    if spacing > 0 and np.all(np.abs(dt - spacing) <= EVEN_GRID_TOLERANCE * spacing):
+    if spacing > 0 and max(step_hi - spacing, spacing - step_lo) <= EVEN_GRID_TOLERANCE * spacing:
         starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
     else:
         starts, spacing = np.arange(len(t)), 1.0   # a run of one frame has no spacing
     lengths = np.diff(np.r_[starts, len(t)]).astype(float)
+    values = y[starts].astype(float)
+    begins = t[starts] - uv_on_time
     # N0 is free, so measuring time from the earliest frame leaves tau alone
     # and keeps B >= 1 however short the trial tau
-    runs = (t[starts] - t0, spacing, lengths, y[starts])
+    runs = (begins - t0, spacing, lengths, values)
+    slope = _log_linear_slope(runs)
+    if slope >= -1e-12:
+        return _no_decay_result(y)
     u, n, iterations, where = _minimise_log_tau(
         runs, math.log(-1.0 / slope), math.log(span / TAU_SEARCH_SPANS),
         math.log(span * TAU_SEARCH_SPANS))
@@ -350,27 +377,21 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
         raise DegenerateFitError("N0 overflows: the first frame after UV on "
                                  "lies hundreds of lifetimes after it") from None
 
-    resid = y - exponential_model(t, n0, tau)
-    ssr = float(np.sum(resid * resid))
-    dof = len(y) - 2
+    ssr = _residual_sum(runs, tau, n)
     # J^T J of the model in (n0, tau): dm/dn0 = m / n0, dm/dtau = m s / tau
-    _, _, _, b, b1, b2 = _decay_sums((t[starts],) + runs[1:], tau)
-    g = n0 / tau
-    j00, j01, j11 = b, g * b1, g * g * b2
+    _, _, _, b, b1, b2 = _decay_sums((begins,) + runs[1:], tau)
+    dof = len(y) - 2
+    j00, j01, j11 = b, n0 / tau * b1, (n0 / tau) ** 2 * b2
     cov = np.array([[j11, -j01], [-j01, j00]]) * ((ssr / dof) / (j00 * j11 - j01 * j01))
-    flags = ("no_decay",) if tau > NO_DECAY_SPAN_FACTOR * span else ()
-    result = FitResult(param_names=("n0", "tau"), parameters={"n0": n0, "tau": tau},
-                       errors={"n0": math.sqrt(cov[0, 0]), "tau": math.sqrt(cov[1, 1])},
-                       covariance=cov, residual_norm=ssr, iterations=iterations,
-                       converged=where == "min", dof=dof, flags=flags)
-    if np.all(y == np.round(y)):
-        deaths = float(np.max(y) - np.min(y))
-        if deaths > 0:
-            result.errors["tau"] = tau / math.sqrt(deaths)
-            result.covariance[1, 1] = result.errors["tau"] ** 2
-    result.derived["lifetime"] = tau
-    result.derived["lifetime_error"] = result.errors["tau"]
-    return result
+    deaths = float(np.ptp(values)) if np.all(values == np.round(values)) else 0.0
+    if deaths > 0:
+        cov[1, 1] = tau * tau / deaths
+    err = math.sqrt(cov[1, 1])
+    return FitResult(param_names=("n0", "tau"), parameters={"n0": n0, "tau": tau},
+                     errors={"n0": math.sqrt(cov[0, 0]), "tau": err}, covariance=cov,
+                     residual_norm=ssr, iterations=iterations, converged=where == "min",
+                     dof=dof, flags=("no_decay",) if tau > NO_DECAY_SPAN_FACTOR * span else (),
+                     derived={"lifetime": tau, "lifetime_error": err})
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ modules and return their result records.  Shared by the CLI and the figure
 reproduction harness.
 
 Seed discipline: every scenario derives all of its generators from
-SeedSequence(scenario.seed) spawns, so a (scenario, seed) pair maps to
-byte-identical outputs.
+SeedSequence(scenario.seed) or its spawns, so a (scenario, seed) pair maps
+to byte-identical outputs.
 """
 
 from __future__ import annotations

@@ -321,8 +321,8 @@ def integrate_motion(particle: Particle, trap: TrapConfig, duration: float,
     step_rate = trap.drive_frequency * steps_per_period
     if sample_rate is None:
         stride = 1
-    elif not 0.0 < sample_rate < math.inf:
-        raise ValueError("sample_rate must be positive and finite")
+    elif not (0.0 < sample_rate < math.inf and step_rate / sample_rate < math.inf):
+        raise ValueError(f"sample_rate {sample_rate!r} must be positive with a finite step ratio")
     else:
         stride = max(1, int(round(step_rate / sample_rate)))
     dt = 1.0 / step_rate

@@ -65,6 +65,20 @@ def test_charge_sign_default_negative():
     assert positive.charge_sign() == 1 and positive.particle().charge_count == 1
 
 
+def test_charge_sign_contradicting_initial_charge_rejected():
+    # initial_charge used to override charge_sign silently; agreeing or zero
+    # charges still parse, and the error names the later of the two lines
+    for sign, charge in (("negative", -23), ("positive", 31), ("positive", 0)):
+        text = MINIMAL.replace("= negative", f"= {sign}") + f"initial_charge = {charge}\n"
+        assert parse_scenario_text(text).particle().charge_count == charge
+    for sign, charge in (("negative", 31), ("positive", -23)):
+        text = MINIMAL.replace("= negative", f"= {sign}") + f"initial_charge = {charge}\n"
+        line = text.splitlines().index(f"initial_charge = {charge}") + 1
+        with pytest.raises(ConfigError, match="contradicts") as err:
+            parse_scenario_text(text)
+        assert err.value.line == line and "charge_sign" in str(err.value)
+
+
 def test_round_trip_identity():
     sc = parse_scenario_text(MINIMAL)
     text = serialize_scenario(sc)

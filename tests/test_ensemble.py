@@ -9,7 +9,7 @@ from ndtrap.ensemble import (SurvivalCurve, envelope_charge_sampler,
                              lifetime_sweep, margin_charge_sampler, simulate_survival,
                              stable_charge_range)
 from ndtrap.fitters import DegenerateFitError, fit_exponential, fit_powerlaw, fit_sigmoid
-from ndtrap.photoemission import EmissionModel
+from ndtrap.photoemission import EmissionModel, emission_rate, simulate_charge_trajectory
 
 PARTICLE = Particle(radius=0.5e-6, charge_count=-1)
 RING = TrapConfig(voltage_amplitude=2250.0, drive_frequency=140.0,
@@ -35,25 +35,25 @@ def test_samplers_respect_bounds():
     rng = np.random.default_rng(0)
     draw = envelope_charge_sampler(sign=-1)(PARTICLE, RING)
     lo, hi = stable_charge_range(PARTICLE, RING)
-    for _ in range(200):
-        c = draw(rng)
-        assert c < 0 and lo <= -c <= hi
+    c = draw(rng, 200)
+    assert c.shape == (200,) and np.all((c < 0) & (lo <= -c) & (-c <= hi))
     draw = margin_charge_sampler(8, 32, sign=-1)(PARTICLE, RING)
-    for _ in range(200):
-        c = draw(rng)
-        assert lo + 8 <= -c <= lo + 32
-    assert fixed_charge_sampler(-69)(PARTICLE, RING)(rng) == -69
+    c = draw(rng, 200)
+    assert c.shape == (200,) and np.all((lo + 8 <= -c) & (-c <= lo + 32))
+    assert np.array_equal(fixed_charge_sampler(-69)(PARTICLE, RING)(rng, 3), [-69] * 3)
 
 
 def counting_sampler(inner, calls):
-    """Wrap a sampler so that ``calls`` counts its binds and its draws."""
+    """Wrap a sampler so that ``calls`` counts its binds, its draws and the
+    charges drawn."""
     def sampler(particle, trap):
         calls["bind"] += 1
         draw = inner(particle, trap)
 
-        def counted(rng):
+        def counted(rng, n):
             calls["draw"] += 1
-            return draw(rng)
+            calls["charges"] += n
+            return draw(rng, n)
         return counted
     return sampler
 
@@ -64,28 +64,58 @@ def test_envelope_overlap_error_at_bind():
                        characteristic_radius=3e-3, geometry_factor=1.0)
     with pytest.raises(ValueError, match="does not overlap"):
         envelope_charge_sampler(sign=-1)(PARTICLE, steep)
-    calls = {"bind": 0, "draw": 0}
+    calls = {"bind": 0, "draw": 0, "charges": 0}
     with pytest.raises(ValueError, match="does not overlap"):
         simulate_survival(5, PARTICLE, steep, MODEL, LED, duration=10.0, seed=1,
                           charge_sampler=counting_sampler(envelope_charge_sampler(-1), calls))
-    assert calls == {"bind": 1, "draw": 0}
+    assert calls == {"bind": 1, "draw": 0, "charges": 0}
 
 
 def test_margin_ceiling_raises_per_draw():
     lo, hi = stable_charge_range(PARTICLE, RING)
     draw = margin_charge_sampler(hi - lo + 1, hi - lo + 50, sign=-1)(PARTICLE, RING)
     with pytest.raises(ValueError, match="ceiling"):
-        draw(np.random.default_rng(0))
+        draw(np.random.default_rng(0), 1)
+    # a draw fails as a whole when any of its charges is over the ceiling
+    draw = margin_charge_sampler(hi - lo - 10, hi - lo + 1, sign=-1)(PARTICLE, RING)
+    with pytest.raises(ValueError, match="ceiling"):
+        draw(np.random.default_rng(0), 100)
 
 
 def test_survival_binds_sampler_once():
-    calls = {"bind": 0, "draw": 0}
+    calls = {"bind": 0, "draw": 0, "charges": 0}
     counted = simulate_survival(37, PARTICLE, RING, MODEL, LED, duration=50.0, seed=8,
                                 charge_sampler=counting_sampler(envelope_charge_sampler(-1),
                                                                 calls))
-    assert calls == {"bind": 1, "draw": 37}
+    assert calls == {"bind": 1, "draw": 1, "charges": 37}
     plain = simulate_survival(37, PARTICLE, RING, MODEL, LED, duration=50.0, seed=8)
     assert np.array_equal(counted.n_alive, plain.n_alive)
+
+
+def test_gamma_exit_times_match_trajectory_exit_times():
+    # at a constant per-electron rate the k-th emission comes at a
+    # Gamma(k, 1/rate) time, which simulate_survival draws in place of the
+    # trajectory; a two-sample KS test on a seed fixed before the first run
+    from scipy.stats import ks_2samp
+    k, rate, n = 12, 0.3, 2000
+    rng = np.random.default_rng(1414)
+    trajectories = [simulate_charge_trajectory(PARTICLE.with_charge(-k), rate, 1e4, rng=rng)
+                    for _ in range(n)]
+    assert all(traj.final_charge == 0 for traj in trajectories)
+    exits = [traj.times[-1] for traj in trajectories]
+    assert ks_2samp(exits, rng.gamma(k, 1.0 / rate, n)).pvalue > 1e-3
+
+
+def test_uv_deaths_censored_at_run_end():
+    # a fixed charge 5 e above the exit charge: every particle exits within
+    # 100 mean emission times, none when the UV comes on at the run's end
+    lo, _ = stable_charge_range(PARTICLE, RING)
+    rate = emission_rate(MODEL, LED, PARTICLE)
+    kwargs = dict(duration=100.0 / rate, seed=3, frame_rate=rate,
+                  charge_sampler=fixed_charge_sampler(-(lo + 4)))
+    assert simulate_survival(50, PARTICLE, RING, MODEL, LED, **kwargs).n_alive[-1] == 0
+    late = simulate_survival(50, PARTICLE, RING, MODEL, LED, uv_on_time=100.0 / rate, **kwargs)
+    assert np.all(late.n_alive == 50)
 
 
 def test_zero_intensity_keeps_all_particles():

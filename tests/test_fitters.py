@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ndtrap import ensemble
+from ndtrap import ensemble, fitters
 from ndtrap.ensemble import exponential_survival_curve
 from ndtrap.fitters import (DegenerateFitError, LatticeNotDetectedError,
                             _fd_jacobian, _lattice_objective,
@@ -204,19 +204,28 @@ def post_uv(curve):
     return curve.times[keep] - curve.uv_on_time, curve.n_alive[keep]
 
 
+def sweep_curves(monkeypatch):
+    """The survival curve of every point of the fig7 and fig8 sweeps at their
+    default seeds, as the sweeps fit them."""
+    curves = []
+
+    def recording(curve):
+        curves.append(curve)
+        return fit_exponential(curve)
+    with monkeypatch.context() as patch:
+        patch.setattr(ensemble, "fit_exponential", recording)
+        for name in ("fig7_sweep", "fig8_sweep"):
+            run_sweep_scenario(load_bundled_scenario(name))
+    assert len(curves) == 14 + 5
+    return curves
+
+
 def test_fit_exponential_matches_lm_on_figure_curves(monkeypatch):
     # every survival curve reproduce fits for fig5, fig7 and fig8 at the
     # default seeds: the run-length fit is the least-squares minimum LM
     # approaches, so tau agrees and the residual is no larger
     curves = [run_survival_scenario(load_bundled_scenario("fig5_decay"))]
-
-    def recording(curve):
-        curves.append(curve)
-        return fit_exponential(curve)
-    monkeypatch.setattr(ensemble, "fit_exponential", recording)
-    for name in ("fig7_sweep", "fig8_sweep"):
-        run_sweep_scenario(load_bundled_scenario(name))
-    assert len(curves) == 1 + 14 + 5
+    curves += sweep_curves(monkeypatch)
     for curve in curves:
         res = fit_exponential(curve)
         ref = lm_exponential_fit(*post_uv(curve))
@@ -227,6 +236,32 @@ def test_fit_exponential_matches_lm_on_figure_curves(monkeypatch):
         # least-squares n0 error from the analytic J^T J, as LM's from its
         # finite-difference one
         assert res.errors["n0"] == pytest.approx(ref.errors["n0"], rel=1e-4)
+
+
+def test_run_sums_match_polyfit_and_frame_residual(monkeypatch):
+    # on the fig7 and fig8 sweep curves the per-run sums give what the frames
+    # give: the log-linear start is np.polyfit's slope, tau is where Newton
+    # lands from np.polyfit's own start, and the residual is the frame-wise sum
+    run_slope = fitters._log_linear_slope
+    for curve in sweep_curves(monkeypatch):
+        t, y = post_uv(curve)
+        pos = y > 0
+        slope = np.polyfit(t[pos], np.log(y[pos]), 1)[0]
+        seen = []
+
+        def recorded_slope(runs):
+            seen.append(run_slope(runs))
+            return seen[-1]
+        with monkeypatch.context() as patch:
+            patch.setattr(fitters, "_log_linear_slope", recorded_slope)
+            res = fit_exponential(curve)
+            patch.setattr(fitters, "_log_linear_slope", lambda runs: slope)
+            ref = fit_exponential(curve)
+        assert seen == [pytest.approx(slope, rel=1e-12)]
+        assert res["tau"] == pytest.approx(ref["tau"], rel=1e-12)
+        frames = y - exponential_model(t, res["n0"], res["tau"])
+        assert res.residual_norm == pytest.approx(float(np.sum(frames * frames)), rel=1e-9)
+        assert res.residual_norm >= 0.0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -358,11 +358,13 @@ def test_integrate_motion_zero_charge_zero_init_is_flat():
 
 @pytest.mark.parametrize("name, value", [
     ("sample_stride", -3), ("sample_stride", 0), ("sample_rate", -5.0),
-    ("sample_rate", 0.0), ("sample_rate", math.inf), ("sample_rate", math.nan)])
+    ("sample_rate", 0.0), ("sample_rate", math.inf), ("sample_rate", math.nan),
+    ("sample_rate", 1e-320)])
 def test_integrator_rejects_bad_sampling(name, value):
     # a negative stride read the trace backwards, a zero stride or rate
-    # divided by zero, a negative or infinite rate sampled every step, and
-    # a NaN rate failed inside int()
+    # divided by zero, a negative or infinite rate sampled every step, a
+    # NaN rate failed inside int(), and a subnormal rate overflowed the
+    # step ratio to inf before int()
     with pytest.raises(ValueError, match=name):
         if name == "sample_stride":
             integrate_mathieu(0.3, 1.0, 1.0, sample_stride=value)
