@@ -11,7 +11,7 @@ from .ensemble import (SurvivalCurve, exponential_survival_curve,
 from .fitters import (FitResult, fit_charge_lattice, fit_exponential,
                       fit_powerlaw, fit_sigmoid, nls_fit)
 from .photoemission import (ChargeTrajectory, EmissionModel, PulseTrain,
-                            emission_rate, pick_pulses,
+                            count_pulses, emission_rate, pick_pulses,
                             required_intensity_scaling,
                             simulate_charge_trajectory, spot_for_power)
 from .signal import (FrequencyTrace, estimate_secular_frequency,

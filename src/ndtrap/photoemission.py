@@ -22,6 +22,7 @@ from .core import Particle, UVSource
 
 DEFAULT_WIDTH_10_90 = 10.0  # nm
 TRAJECTORY_CHUNK = 65_536    # most exponential gaps drawn at once at a constant rate
+PULSE_BLOCK = 2**20          # about the most candidate pulses count_pulses tests at once
 
 
 def _logistic_decreasing(u: float) -> float:
@@ -205,29 +206,55 @@ def mean_pulses_analytic(train: PulseTrain) -> float:
     return train.shutter_open * train.repetition_rate * train.chopper_duty
 
 
-def pick_pulses(train: PulseTrain, phases: Optional[tuple] = None,
-                rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Times of laser pulses transmitted through shutter and chopper.
+def _pulse_windows(train: PulseTrain, phases: np.ndarray):
+    """Candidate pulse times of each row of an (n, 3) phase array, and which
+    of them pass shutter and chopper.
 
-    Deterministic for given phases (``phases`` argument, else the train's
-    own); with ``rng`` given and no explicit phases, all three phases are
-    drawn uniformly, which is the Monte Carlo mode.  Pulse centers are
-    tested against the windows; at sub-ns pulse lengths the distinction
-    from full containment is negligible.
+    Row i's candidates are ``n_lo_i + arange(width)``, ``width`` the widest
+    row's count; a row's candidates past its own ``n_hi`` never pass.  Pulse
+    centers are tested against the windows; at sub-ns pulse lengths the
+    distinction from full containment is negligible.
     """
-    if phases is None:
-        phases = tuple(rng.random(3)) if rng is not None else train.phases
-    shutter_phase, chopper_phase, laser_phase = phases
+    shutter_phase, chopper_phase, laser_phase = (phases[:, k, None] for k in range(3))
     t_chop = 1.0 / train.chopper_frequency
     t_rep = 1.0 / train.repetition_rate
     t0 = shutter_phase * t_chop
     t1 = t0 + train.shutter_open
-    n_lo = math.ceil((t0 - laser_phase * t_rep) / t_rep)
-    n_hi = math.floor((t1 - laser_phase * t_rep) / t_rep)
-    t = (np.arange(n_lo, n_hi + 1) + laser_phase) * t_rep
-    t = t[(t0 <= t) & (t < t1)]
+    n_lo = np.ceil((t0 - laser_phase * t_rep) / t_rep)
+    last = np.floor((t1 - laser_phase * t_rep) / t_rep) - n_lo
+    j = np.arange(int(last.max(initial=-1.0)) + 1)
+    t = (n_lo + j + laser_phase) * t_rep
     # np.remainder takes the sign of the divisor, as Python's float % does
-    return t[(t / t_chop - chopper_phase) % 1.0 < train.chopper_duty]
+    passed = ((j <= last) & (t0 <= t) & (t < t1)
+              & ((t / t_chop - chopper_phase) % 1.0 < train.chopper_duty))
+    return t, passed
+
+
+def pick_pulses(train: PulseTrain, phases: Optional[tuple] = None) -> np.ndarray:
+    """Times of laser pulses transmitted through shutter and chopper.
+
+    Deterministic for given phases (``phases`` argument, else the train's
+    own); ``count_pulses`` counts them for many phase triples at once.
+    """
+    phases = np.array([train.phases if phases is None else phases], dtype=float)
+    t, passed = _pulse_windows(train, phases)
+    return t[passed]
+
+
+def count_pulses(train: PulseTrain, phases: np.ndarray) -> np.ndarray:
+    """Transmitted-pulse count of each row of an (n, 3) array of phases
+    (shutter, chopper, laser), equal to ``len(pick_pulses(train, row))``.
+
+    Rows go in blocks of about PULSE_BLOCK candidate pulses.
+    """
+    phases = np.asarray(phases, dtype=float)
+    if phases.ndim != 2 or phases.shape[1] != 3:
+        raise ValueError(f"phases must be an (n, 3) array, got shape {phases.shape}")
+    rows = max(1, PULSE_BLOCK // (int(train.shutter_open * train.repetition_rate) + 2))
+    counts = np.empty(len(phases), dtype=np.int64)
+    for i in range(0, len(phases), rows):
+        counts[i:i + rows] = _pulse_windows(train, phases[i:i + rows])[1].sum(axis=1)
+    return counts
 
 
 def required_intensity_scaling(target_time: float, measured_time: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from . import io
 from .fitters import (LatticeNotDetectedError, fit_charge_lattice,
                       fit_exponential, fit_powerlaw, fit_sigmoid)
-from .photoemission import mean_pulses_analytic, pick_pulses
+from .photoemission import count_pulses, mean_pulses_analytic
 from .runner import (SWEEP_KINDS, load_bundled_scenario,
                      run_frequency_trace_scenario, run_picker_scenario,
                      run_survival_scenario, run_sweep_scenario)
@@ -310,8 +310,7 @@ def reproduce_picker(out_dir, seed=None) -> Report:
     train = sc.pulse_train()
     analytic = mean_pulses_analytic(train)
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(1)[0])
-    counts = np.array([len(pick_pulses(train, rng=rng))
-                       for _ in range(PICKER_MC_SAMPLES)])
+    counts = count_pulses(train, rng.random((PICKER_MC_SAMPLES, 3)))
     mc_mean = float(counts.mean())
     rel = abs(mc_mean - analytic) / analytic
     report.add("mc_mean_pulses", rel <= PICKER_TOLERANCE, round(mc_mean, 4),

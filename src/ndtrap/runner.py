@@ -16,7 +16,7 @@ import numpy as np
 from .config import ConfigError, Scenario, parse_scenario_text
 from .ensemble import (envelope_charge_sampler, fixed_charge_sampler,
                        lifetime_sweep, margin_charge_sampler, simulate_survival)
-from .photoemission import pick_pulses, simulate_charge_trajectory
+from .photoemission import count_pulses, pick_pulses, simulate_charge_trajectory
 from .signal import FrequencyTrace, synthesize_frequency_trace
 from .trap import damping_rate, integrate_motion
 
@@ -132,28 +132,25 @@ def run_motion_scenario(sc: Scenario):
 def run_picker_scenario(sc: Scenario):
     """Shutter-exposure sequence through the single-pulse picker.
 
-    Each exposure draws random gate phases, transmits pick_pulses(train)
-    laser pulses, and each pulse ejects one electron with the configured
-    probability.  Returns (deterministic-phase pulse times, per-exposure
-    pulse counts, charge after each exposure, FrequencyTrace vs shutter
-    count).
+    All exposures' gate phases are drawn first and their pulses counted by
+    count_pulses; then each exposure's emitted electrons are drawn, each
+    pulse ejecting one with the configured probability, and the charge falls
+    by them until it reaches neutrality.  Returns
+    (deterministic-phase pulse times, per-exposure pulse counts, charge
+    after each exposure, FrequencyTrace vs shutter count).
     """
     train = sc.pulse_train()
     n_shutter = sc.require("run", "n_shutter")
     p_emit = sc.get("run", "pulse_probability", 1.0)
+    if not 0.0 <= p_emit <= 1.0:
+        raise ConfigError(f"[run] pulse_probability must be in [0, 1], got {p_emit}")
     charge = abs(sc.require("run", "initial_charge"))
     delta_f = sc.require("run", "delta_f")
     noise_sigma = sc.get("run", "noise_sigma", 0.0)
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(1)[0])
 
-    counts = np.empty(n_shutter, dtype=int)
-    charges = np.empty(n_shutter, dtype=int)
-    for i in range(n_shutter):
-        k = len(pick_pulses(train, rng=rng))
-        counts[i] = k
-        emitted = rng.binomial(k, p_emit) if k else 0
-        charge = max(charge - emitted, 0)
-        charges[i] = charge
+    counts = count_pulses(train, rng.random((n_shutter, 3)))
+    charges = np.maximum(charge - np.cumsum(rng.binomial(counts, p_emit)), 0)
     freqs = delta_f * charges.astype(float)
     if noise_sigma > 0:
         freqs = np.maximum(freqs + noise_sigma * rng.standard_normal(n_shutter), 0.0)

@@ -9,8 +9,9 @@ from test_fitters import lm_exponential_fit
 
 from ndtrap import io
 from ndtrap.cli import KIND_RUNNERS, main
-from ndtrap.config import SCENARIO_KINDS, serialize_scenario
-from ndtrap.runner import load_bundled_scenario
+from ndtrap.config import (SCENARIO_KINDS, ConfigError, parse_scenario_text,
+                           serialize_scenario)
+from ndtrap.runner import load_bundled_scenario, run_picker_scenario
 
 
 MOTION_CFG = """
@@ -90,6 +91,23 @@ def test_simulate_picker_kind(tmp_path):
     assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
     assert (out / "pulses.csv").exists()
     assert (out / "frequency_trace.csv").exists()
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.2"])
+def test_picker_pulse_probability_outside_unit_interval_exit_2(tmp_path, capsys, p):
+    cfg = tmp_path / "picker.cfg"
+    text = serialize_scenario(load_bundled_scenario("fig12_picker"))
+    cfg.write_text(text.replace("pulse_probability = 0.6", f"pulse_probability = {p}"))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "p")]) == 2
+    assert "[run] pulse_probability" in capsys.readouterr().err
+    # rejected before any draw, so also where the one shutter of seeds 6-8
+    # transmits no pulse and no binomial would ever see the probability
+    short = text.replace("n_shutter = 60", "n_shutter = 1")
+    for seed in (6, 7, 8):
+        sc = parse_scenario_text(short.replace("pulse_probability = 0.6",
+                                               f"pulse_probability = {p}")).with_seed(seed)
+        with pytest.raises(ConfigError, match=r"\[run\] pulse_probability"):
+            run_picker_scenario(sc)
 
 
 def test_invalid_config_exit_2(tmp_path):

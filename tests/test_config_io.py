@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndtrap import io
@@ -132,29 +132,48 @@ def value_texts(draw, spec, notes):
 
 @st.composite
 def scenario_texts(draw):
-    notes = {"numbers": [], "texts": []}
+    """A config text and its notes: the numbers and free strings it used,
+    and each (section, key)'s value text."""
+    notes = {"numbers": [], "texts": [], "values": {}}
+
+    def line(section, key, spec):
+        value = notes["values"][section, key] = draw(value_texts(spec, notes))
+        return f"{key} = {value}"
+
     lines = ["[scenario]"]
     for key, spec in _SECTION_KEYS["scenario"].items():
-        lines.append(f"{key} = {draw(value_texts(spec, notes))}")
+        lines.append(line("scenario", key, spec))
     sections = draw(st.lists(st.sampled_from([s for s in _SECTION_KEYS if s != "scenario"]),
                              unique=True))
     for section in sections:
         lines.append(f"[{section}]")
         keys = draw(st.lists(st.sampled_from(sorted(_SECTION_KEYS[section])), unique=True))
         for key in keys:
-            lines.append(f"{key} = {draw(value_texts(_SECTION_KEYS[section][key], notes))}")
+            lines.append(line(section, key, _SECTION_KEYS[section][key]))
     return "\n".join(lines) + "\n", notes
 
 
 def must_parse(notes):
-    """Finite numbers that stay finite in any unit, one-line stripped texts."""
+    """Finite numbers that stay finite in any unit, one-line stripped texts,
+    and no charge_sign that contradicts a non-zero initial_charge."""
+    sign = notes["values"].get(("particle", "charge_sign"))
+    charge = int(notes["values"].get(("run", "initial_charge"), 0))
     return (all(math.isfinite(x) and abs(x) <= 1e300 for x in notes["numbers"])
             and all("#" not in t and t == t.strip() and "".join(t.splitlines()) == t
-                    for t in notes["texts"]))
+                    for t in notes["texts"])
+            and not (sign and charge and (charge < 0) != (sign == "negative")))
+
+
+SIGN_CONTRADICTION = {("scenario", "name"): "a", ("scenario", "kind"): "picker",
+                      ("scenario", "seed"): "0", ("particle", "charge_sign"): "positive",
+                      ("run", "initial_charge"): "-3"}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(generated=scenario_texts())
+@example(generated=("[scenario]\nname = a\nkind = picker\nseed = 0\n[particle]\n"
+                    "charge_sign = positive\n[run]\ninitial_charge = -3\n",
+                    {"numbers": [], "texts": ["a"], "values": SIGN_CONTRADICTION}))
 def test_round_trip_property(generated):
     # parse -> serialize -> parse is the identity on whatever the parser
     # accepts, serializing is a fixed point, and anything it rejects is

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from ndtrap import photoemission
+from ndtrap.config import parse_scenario_text, serialize_scenario
 from ndtrap.core import Particle, UVSource
 from ndtrap.photoemission import (ChargeTrajectory, EmissionModel, PulseTrain,
-                                  emission_rate, mean_pulses_analytic,
-                                  pick_pulses, required_intensity_scaling,
+                                  count_pulses, emission_rate,
+                                  mean_pulses_analytic, pick_pulses,
+                                  required_intensity_scaling,
                                   simulate_charge_trajectory, spot_for_power)
+from ndtrap.runner import load_bundled_scenario, run_picker_scenario
 
 LED = UVSource(mode="continuous", wavelength=264.0, intensity=10.0)
 REF_PARTICLE = Particle(radius=0.5e-6, charge_count=-50)
@@ -185,20 +188,33 @@ def scalar_pick_pulses(train, phases):
 
 
 # at 1 kHz and all-zero phases, pulses fall exactly on both shutter edges
-@pytest.mark.parametrize("rep,duty,shutter", [(9200.0, 0.013, 4e-3), (9200.0, 0.5, 10e-3),
-                                              (1000.0, 0.999, 4e-3)])
-def test_pick_pulses_matches_scalar_loop(rep, duty, shutter):
-    train = PulseTrain(repetition_rate=rep, pulse_duration=0.5e-9,
-                       shutter_open=shutter, chopper_frequency=250.0,
-                       chopper_duty=duty, phases=(0.3, 0.7, 0.1))
+TRAINS = [(9200.0, 0.013, 4e-3), (9200.0, 0.5, 10e-3), (1000.0, 0.999, 4e-3)]
+
+
+def gated_train(rep, duty, shutter):
+    return PulseTrain(repetition_rate=rep, pulse_duration=0.5e-9,
+                      shutter_open=shutter, chopper_frequency=250.0,
+                      chopper_duty=duty, phases=(0.3, 0.7, 0.1))
+
+
+def phase_cases(train):
+    """2,000 random triples, then the train's own phases and all zeros."""
     rng = np.random.default_rng(5)
-    cases = [tuple(rng.random(3)) for _ in range(2000)]
-    cases += [train.phases, (0.0, 0.0, 0.0)]
+    return [tuple(rng.random(3)) for _ in range(2000)] + [train.phases, (0.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("rep,duty,shutter", TRAINS)
+def test_pick_pulses_matches_scalar_loop(rep, duty, shutter):
+    train = gated_train(rep, duty, shutter)
+    cases, lengths = phase_cases(train), []
     for phases in cases:
         got = pick_pulses(train, phases=phases)
         want = scalar_pick_pulses(train, phases)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), phases
+        lengths.append(len(got))
     assert pick_pulses(train).tobytes() == scalar_pick_pulses(train, train.phases).tobytes()
+    # the batched count agrees with the one-row case, row by row
+    assert count_pulses(train, np.array(cases)).tolist() == lengths
 
 
 def test_pick_pulses_deterministic_and_windowed():
@@ -235,8 +251,47 @@ def test_picker_monte_carlo_mean():
     analytic = mean_pulses_analytic(train)
     assert analytic == pytest.approx(0.4784, rel=1e-12)
     rng = np.random.default_rng(11)
-    counts = [len(pick_pulses(train, rng=rng)) for _ in range(10_000)]
+    counts = count_pulses(train, rng.random((10_000, 3)))
     assert np.mean(counts) == pytest.approx(analytic, rel=0.05)
+
+
+def test_count_pulses_zero_rows_and_block_boundary(monkeypatch):
+    train = gated_train(9200.0, 0.5, 10e-3)
+    assert count_pulses(train, np.empty((0, 3))).shape == (0,)
+    phases = np.random.default_rng(8).random((1000, 3))
+    whole = count_pulses(train, phases)
+    # 94 candidates per row: blocks of 3 rows, the last one holding a single row
+    monkeypatch.setattr(photoemission, "PULSE_BLOCK", 3 * 94)
+    assert count_pulses(train, phases).tolist() == whole.tolist()
+    with pytest.raises(ValueError, match="phases"):
+        count_pulses(train, np.zeros(3))
+
+
+def picker_scenario(seed, **run):
+    """fig12_picker at this seed, with some [run] values replaced."""
+    sc = load_bundled_scenario("fig12_picker").with_seed(seed)
+    lines = serialize_scenario(sc).splitlines()
+    for i, line in enumerate(lines):
+        key = line.partition(" = ")[0]
+        if key in run:
+            lines[i] = f"{key} = {run[key]}"
+    return parse_scenario_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("p,c0,seed", [(0.6, -25, 20250827), (0.9, -4, 3), (1.0, -1, 4),
+                                       (0.0, -7, 5)])
+def test_picker_charges_match_running_clamp(p, c0, seed):
+    sc = picker_scenario(seed, pulse_probability=p, initial_charge=c0, n_shutter=300)
+    _, counts, charges, _ = run_picker_scenario(sc)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    want_counts = count_pulses(sc.pulse_train(), rng.random((300, 3)))
+    charge, want = abs(c0), []
+    for k in rng.binomial(want_counts, p):
+        charge = max(charge - int(k), 0)
+        want.append(charge)
+    assert counts.tolist() == want_counts.tolist()
+    assert charges.tolist() == want
+    assert (want[-1] == 0) == (p > 0)     # the clamp is reached whenever pulses emit
 
 
 def test_intensity_scaling_factor():
