@@ -10,6 +10,7 @@ SeedSequence.  Results are bit-identical for a given seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -135,11 +136,23 @@ def integrated_escape_check(particle: Particle, trap: TrapConfig) -> bool:
     return not period_map_radius(stability_parameter(particle, trap)) <= 1.0
 
 
+@functools.lru_cache(maxsize=8)
+def _frame_times(duration, frame_rate) -> np.ndarray:
+    """Frame times of a run, one read-only array shared by its curves.
+
+    A fresh frame-sized array per curve, with the fit's, lands on freshly
+    mapped pages whenever the allocator has trimmed its heap in between.
+    """
+    times = np.arange(int(math.floor(duration * frame_rate)) + 1, dtype=float)
+    times /= frame_rate
+    times.flags.writeable = False
+    return times
+
+
 def _survival_curve(deaths, duration, frame_rate, uv_on_time) -> SurvivalCurve:
     """Survivors at each frame of ``duration`` from one death time per particle."""
     n0 = len(deaths)
-    times = np.arange(int(math.floor(duration * frame_rate)) + 1, dtype=float)
-    times /= frame_rate
+    times = _frame_times(duration, frame_rate)[:]   # a view no caller can make writeable
     # a death counts from the first frame at or after it; later ones fall in the
     # dropped bin.  In place: a frame-sized temporary costs as much as the draw.
     alive = np.bincount(np.searchsorted(times, deaths), minlength=len(times) + 1)[:len(times)]

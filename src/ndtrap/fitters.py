@@ -196,6 +196,7 @@ NO_DECAY_SPAN_FACTOR = 50.0  # tau beyond this many data spans counts as flat
 EVEN_GRID_TOLERANCE = 1e-9   # relative spread of time steps still read as one grid
 TAU_SEARCH_SPANS = 1e6       # tau is sought within [span / this, span * this]
 LOG_TAU_TOLERANCE = 1e-12    # Newton stops once log tau moves less than this
+STEP_BLOCK = 8_192           # time steps differenced at once by the exponential fit
 
 
 def _geometric_moments(x: float, lengths: np.ndarray):
@@ -321,6 +322,21 @@ def _no_decay_result(y: np.ndarray) -> FitResult:
                      derived={"lifetime": math.inf, "lifetime_error": math.inf})
 
 
+def _time_steps(t: np.ndarray):
+    """(smallest step, largest step, non-zero steps) of t, (0, 0, 0) without
+    steps; a NaN step makes both extremes NaN, as np.diff(t).min() would.
+
+    Differenced in blocks of STEP_BLOCK: a frame-sized float temporary costs
+    as much as the run fit, and more when its pages are freshly mapped.
+    """
+    lo, hi, nonzero = np.inf, -np.inf, 0
+    for i in range(0, len(t) - 1, STEP_BLOCK):
+        dt = np.diff(t[i:i + STEP_BLOCK + 1])
+        lo, hi = np.minimum(lo, dt.min()), np.maximum(hi, dt.max())
+        nonzero += np.count_nonzero(dt)
+    return (lo, hi, nonzero) if len(t) > 1 else (0.0, 0.0, 0)
+
+
 def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     """Fit N(t) = N0 exp(-t/tau) to the post-illumination part of a survival curve.
 
@@ -344,10 +360,8 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     after = t >= uv_on_time
     if not after.all():
         t, y = t[after], y[after]
-    # the steps are the one frame-sized float temporary; each costs as much as the run fit
-    dt = np.diff(t)
-    step_lo, step_hi = (dt.min(), dt.max()) if len(dt) else (0.0, 0.0)
-    distinct = 1 + np.count_nonzero(dt) if step_lo >= 0 else len(np.unique(t))
+    step_lo, step_hi, nonzero = _time_steps(t)
+    distinct = 1 + nonzero if step_lo >= 0 else len(np.unique(t))
     if distinct < 3:
         raise DegenerateFitError("need at least 3 distinct times after UV on")
     t0, span = float(np.min(t)) - uv_on_time, float(np.ptp(t))

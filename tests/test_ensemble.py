@@ -310,6 +310,18 @@ def test_survival_curve_counts_match_sorted_deaths():
     assert curve.n_alive.tolist() == expected.tolist()
 
 
+def test_curves_of_one_run_length_share_read_only_times():
+    from ndtrap.ensemble import _survival_curve
+    a = _survival_curve(np.array([1.0, 2.0]), 50.0, 10.0, 0.0)
+    b = _survival_curve(np.array([3.0]), 50.0, 10.0, 0.0)
+    assert np.shares_memory(a.times, b.times)
+    assert a.times.tolist() == (np.arange(501) / 10.0).tolist()
+    with pytest.raises(ValueError):
+        a.times[0] = 1.0
+    with pytest.raises(ValueError):
+        a.times.flags.writeable = True
+
+
 def test_survival_curve_validation():
     with pytest.raises(ValueError):
         SurvivalCurve(times=np.arange(3.0), n_alive=np.array([5, 6, 4]),

@@ -312,6 +312,21 @@ def test_fit_exponential_uneven_times_fit_frame_by_frame():
     assert res.residual_norm <= ref.residual_norm * (1 + 1e-12)
 
 
+def test_time_steps_match_one_diff(monkeypatch):
+    # blocks of 5 steps: rows that end inside, on and one past a block edge,
+    # repeated, decreasing and NaN times, and fewer than two times
+    monkeypatch.setattr(fitters, "STEP_BLOCK", 5)
+    rng = np.random.default_rng(9)
+    cases = [np.arange(n, dtype=float) * 0.5 for n in (0, 1, 2, 5, 6, 7, 11, 23)]
+    cases += [np.repeat(np.arange(6.0), 3), rng.uniform(0.0, 1.0, 17),
+              np.r_[np.arange(8.0), np.nan, np.arange(8.0, 14.0)]]
+    for t in cases:
+        dt = np.diff(t)
+        want = (dt.min(), dt.max(), np.count_nonzero(dt)) if len(dt) else (0.0, 0.0, 0)
+        got = fitters._time_steps(t)
+        assert np.array_equal(got, want, equal_nan=True), t
+
+
 # ----------------------------------------------------------- fit_sigmoid
 
 def test_fit_sigmoid_round_trip_log_space():
