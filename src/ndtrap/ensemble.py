@@ -37,7 +37,14 @@ class SurvivalCurve:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        n = np.asarray(self.n_alive, dtype=int)
+        n = np.asarray(self.n_alive)
+        if n.dtype.kind not in "biu":
+            # a count that is not a whole, finite number does not survive the cast
+            with np.errstate(invalid="ignore"):
+                whole = n.astype(int)
+            if not np.array_equal(whole, n):
+                raise ValueError("counts must be whole, finite numbers")
+        n = np.asarray(n, dtype=int)
         if len(t) != len(n):
             raise ValueError("times and n_alive must have equal length")
         if len(n):
@@ -45,7 +52,7 @@ class SurvivalCurve:
                 raise ValueError("curve must start at n0")
             if (n[1:] > n[:-1]).any():
                 raise ValueError("n_alive must be non-increasing")
-            if np.any(n < 0):
+            if n[-1] < 0:
                 raise ValueError("counts must be non-negative")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "n_alive", n)
@@ -153,11 +160,12 @@ def _survival_curve(deaths, duration, frame_rate, uv_on_time) -> SurvivalCurve:
     """Survivors at each frame of ``duration`` from one death time per particle."""
     n0 = len(deaths)
     times = _frame_times(duration, frame_rate)[:]   # a view no caller can make writeable
-    # a death counts from the first frame at or after it; later ones fall in the
-    # dropped bin.  In place: a frame-sized temporary costs as much as the draw.
-    alive = np.bincount(np.searchsorted(times, deaths), minlength=len(times) + 1)[:len(times)]
-    np.cumsum(alive, out=alive)
-    np.subtract(n0, alive, out=alive)
+    # a death counts from the first frame at or after it; one after the last frame
+    # never counts.  Each count holds from its frame to the next: at most n0 + 1
+    # runs, written out once.
+    frames, deaths_at = np.unique(np.searchsorted(times, deaths), return_counts=True)
+    values = n0 - np.r_[0, np.cumsum(deaths_at)]
+    alive = np.repeat(values, np.diff(np.r_[0, frames, len(times)]))
     return SurvivalCurve(times=times, n_alive=alive, n0=n0, uv_on_time=uv_on_time)
 
 

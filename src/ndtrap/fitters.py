@@ -197,20 +197,24 @@ EVEN_GRID_TOLERANCE = 1e-9   # relative spread of time steps still read as one g
 TAU_SEARCH_SPANS = 1e6       # tau is sought within [span / this, span * this]
 LOG_TAU_TOLERANCE = 1e-12    # Newton stops once log tau moves less than this
 STEP_BLOCK = 8_192           # time steps differenced at once by the exponential fit
+_POWERS = np.array([[-1.0], [-2.0]])   # exp(-t/tau) and its square, one row each
 
 
-def _geometric_moments(x: float, lengths: np.ndarray):
-    """Per run, the sums over k < L of r^k, k r^k and k^2 r^k with r = exp(-x).
+def _geometric_moments(xs: tuple, lengths: np.ndarray):
+    """Per rate x of ``xs`` (rows) and per run (columns), the sums over k < L of
+    r^k, k r^k and k^2 r^k with r = exp(-x): three (len(xs), runs) arrays.
 
     From (1 - r) S1 = T - (L-1) r^L and (1 - r) S2 = 2 S1 - T - (L-1)^2 r^L,
     where T = sum_{0<k<L} r^k.  T and 1 - r come from expm1, so slow decays
     (x L << 1) keep their precision: the absolute error of x S1 and x^2 S2
     stays near eps L.
     """
-    one_minus_r = -math.expm1(-x)
+    neg_x = -np.array(xs, dtype=float)[:, None]
+    one_minus_r = np.array([-math.expm1(-v) for v in xs])[:, None]
+    r = np.array([math.exp(-v) for v in xs])[:, None]
     m = lengths - 1.0
-    r_len = np.exp(-x * lengths)
-    tail = math.exp(-x) * -np.expm1(-x * m) / one_minus_r
+    r_len = np.exp(neg_x * lengths)
+    tail = r * -np.expm1(neg_x * m) / one_minus_r
     s1 = (tail - m * r_len) / one_minus_r
     s2 = (2.0 * s1 - tail - m * m * r_len) / one_minus_r
     return 1.0 + tail, s1, s2
@@ -221,18 +225,18 @@ def _decay_sums(runs, tau: float) -> tuple:
     with m = exp(-t/tau) and s = t/tau, from per-run closed forms.
 
     ``runs`` is (start times, spacing, lengths, values): a run holds the
-    frames start + k * spacing, k < length, all with one value y.
+    frames start + k * spacing, k < length, all with one value y.  The m and
+    m^2 sums are the two rows of one pass.
     """
     starts, spacing, lengths, values = runs
     sig = starts / tau
     xi = spacing / tau
-    out = []
-    for power, weight in ((1, values), (2, 1.0)):
-        s0, s1, s2 = _geometric_moments(power * xi, lengths)
-        e = weight * np.exp(-power * sig)
-        out += [float(np.sum(e * s0)), float(np.sum(e * (sig * s0 + xi * s1))),
-                float(np.sum(e * (sig * sig * s0 + 2.0 * sig * xi * s1 + xi * xi * s2)))]
-    return tuple(out)
+    s0, s1, s2 = _geometric_moments((xi, 2.0 * xi), lengths)
+    e = np.exp(_POWERS * sig)
+    e[0] *= values
+    sums = ((e * s0).sum(axis=-1), (e * (sig * s0 + xi * s1)).sum(axis=-1),
+            (e * (sig * sig * s0 + 2.0 * sig * xi * s1 + xi * xi * s2)).sum(axis=-1))
+    return tuple(float(s[row]) for row in (0, 1) for s in sums)
 
 
 def _profile_slope(runs, u: float) -> tuple:
@@ -299,8 +303,8 @@ def _residual_sum(runs, tau: float, n: float) -> float:
     so runs with x L < 1 take it from d_k = expm1(-x k) by shared prefix sums."""
     starts, spacing, lengths, values = runs
     x = spacing / tau
-    s0, _, _ = _geometric_moments(x, lengths)
-    spreads = _geometric_moments(2.0 * x, lengths)[0] - s0 * s0 / lengths
+    (s0, s0_twice), _, _ = _geometric_moments((x, 2.0 * x), lengths)
+    spreads = s0_twice - s0 * s0 / lengths
     short = x * lengths < 1.0
     if short.any():
         d = np.expm1(-x * np.arange(int(lengths[short].max())))
@@ -325,16 +329,22 @@ def _no_decay_result(y: np.ndarray) -> FitResult:
 def _time_steps(t: np.ndarray):
     """(smallest step, largest step, non-zero steps) of t, (0, 0, 0) without
     steps; a NaN step makes both extremes NaN, as np.diff(t).min() would.
+    Steps are counted only when the smallest is not positive: otherwise all
+    len(t) - 1 of them are non-zero.
 
     Differenced in blocks of STEP_BLOCK: a frame-sized float temporary costs
     as much as the run fit, and more when its pages are freshly mapped.
     """
-    lo, hi, nonzero = np.inf, -np.inf, 0
-    for i in range(0, len(t) - 1, STEP_BLOCK):
+    if len(t) < 2:
+        return 0.0, 0.0, 0
+    blocks = range(0, len(t) - 1, STEP_BLOCK)
+    lo, hi = np.inf, -np.inf
+    for i in blocks:
         dt = np.diff(t[i:i + STEP_BLOCK + 1])
         lo, hi = np.minimum(lo, dt.min()), np.maximum(hi, dt.max())
-        nonzero += np.count_nonzero(dt)
-    return (lo, hi, nonzero) if len(t) > 1 else (0.0, 0.0, 0)
+    if lo > 0:
+        return lo, hi, len(t) - 1
+    return lo, hi, sum(np.count_nonzero(np.diff(t[i:i + STEP_BLOCK + 1])) for i in blocks)
 
 
 def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
@@ -364,7 +374,9 @@ def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     distinct = 1 + nonzero if step_lo >= 0 else len(np.unique(t))
     if distinct < 3:
         raise DegenerateFitError("need at least 3 distinct times after UV on")
-    t0, span = float(np.min(t)) - uv_on_time, float(np.ptp(t))
+    # sorted times have their extremes at the ends
+    t_min, span = (t[0], t[-1] - t[0]) if step_lo >= 0 else (np.min(t), np.ptp(t))
+    t0, span = float(t_min) - uv_on_time, float(span)
     spacing = (t[-1] - t[0]) / (len(t) - 1)
     if spacing > 0 and max(step_hi - spacing, spacing - step_lo) <= EVEN_GRID_TOLERANCE * spacing:
         starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])

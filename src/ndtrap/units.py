@@ -17,10 +17,6 @@ def torr_to_pa(pressure_torr: float) -> float:
     return pressure_torr * TORR
 
 
-def pa_to_torr(pressure_pa: float) -> float:
-    return pressure_pa / TORR
-
-
 def photon_energy_ev(wavelength_nm: float) -> float:
     """Photon energy in eV for a vacuum wavelength in nm."""
     if wavelength_nm <= 0:
@@ -163,9 +159,3 @@ def parse_quantity(text: str, dimension: str):
         raise ValueError(f"non-finite value in {text!r}")
     return value
 
-
-def format_quantity(value: float, dimension: str) -> str:
-    """Format a canonical-unit value with its canonical unit suffix."""
-    suffix = CANONICAL_UNIT[dimension]
-    body = repr(float(value))
-    return f"{body} {suffix}".strip()

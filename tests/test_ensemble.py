@@ -329,3 +329,13 @@ def test_survival_curve_validation():
     with pytest.raises(ValueError):
         SurvivalCurve(times=np.arange(3.0), n_alive=np.array([4, 3, 2]),
                       n0=5, uv_on_time=0.0)
+    # counts must be whole, finite numbers: no silent truncation, and a NaN
+    # is a ValueError, not a cast warning
+    for counts, n0 in (([5, 4.5, 4.0], 5), ([5.7, 5.2, 5.0], 5), ([5.0, np.nan, 4.0], 5),
+                       ([5.0, np.inf, 4.0], 5), ([5.0, 4.0, 1e300], 5), ([5, 4, -1], 5)):
+        with pytest.raises(ValueError):
+            SurvivalCurve(times=np.arange(3.0), n_alive=np.array(counts), n0=n0,
+                          uv_on_time=0.0)
+    whole = SurvivalCurve(times=np.arange(3.0), n_alive=np.array([5.0, 4.0, 4.0]), n0=5,
+                          uv_on_time=0.0)
+    assert whole.n_alive.dtype.kind == "i" and whole.n_alive.tolist() == [5, 4, 4]

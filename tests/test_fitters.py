@@ -241,15 +241,17 @@ def test_fit_exponential_matches_lm_on_figure_curves(monkeypatch):
 def test_run_sums_match_polyfit_and_frame_residual(monkeypatch):
     # on the fig7 and fig8 sweep curves the per-run sums give what the frames
     # give: the log-linear start is np.polyfit's slope, tau is where Newton
-    # lands from np.polyfit's own start, and the residual is the frame-wise sum
+    # lands from np.polyfit's own start, the residual is the frame-wise sum,
+    # and so is each of the six decay sums, at, below and above the fitted tau
     run_slope = fitters._log_linear_slope
     for curve in sweep_curves(monkeypatch):
         t, y = post_uv(curve)
         pos = y > 0
         slope = np.polyfit(t[pos], np.log(y[pos]), 1)[0]
-        seen = []
+        seen, fitted_runs = [], []
 
         def recorded_slope(runs):
+            fitted_runs.append(runs)
             seen.append(run_slope(runs))
             return seen[-1]
         with monkeypatch.context() as patch:
@@ -262,6 +264,13 @@ def test_run_sums_match_polyfit_and_frame_residual(monkeypatch):
         frames = y - exponential_model(t, res["n0"], res["tau"])
         assert res.residual_norm == pytest.approx(float(np.sum(frames * frames)), rel=1e-9)
         assert res.residual_norm >= 0.0
+        since_first = t - t[0]      # the runs measure time from the first frame
+        for tau in res["tau"] * np.array([0.1, 1.0, 10.0]):
+            m, s = np.exp(-since_first / tau), since_first / tau
+            want = [np.sum(y * m), np.sum(y * m * s), np.sum(y * m * s * s),
+                    np.sum(m * m), np.sum(m * m * s), np.sum(m * m * s * s)]
+            got = fitters._decay_sums(fitted_runs[0], tau)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -314,12 +323,15 @@ def test_fit_exponential_uneven_times_fit_frame_by_frame():
 
 def test_time_steps_match_one_diff(monkeypatch):
     # blocks of 5 steps: rows that end inside, on and one past a block edge,
-    # repeated, decreasing and NaN times, and fewer than two times
+    # repeated, decreasing and NaN times, fewer than two times, and one zero
+    # step alone in the first or in the last, partial block (steps are
+    # counted only when the smallest is not positive)
     monkeypatch.setattr(fitters, "STEP_BLOCK", 5)
     rng = np.random.default_rng(9)
     cases = [np.arange(n, dtype=float) * 0.5 for n in (0, 1, 2, 5, 6, 7, 11, 23)]
     cases += [np.repeat(np.arange(6.0), 3), rng.uniform(0.0, 1.0, 17),
-              np.r_[np.arange(8.0), np.nan, np.arange(8.0, 14.0)]]
+              np.r_[np.arange(8.0), np.nan, np.arange(8.0, 14.0)],
+              np.r_[0.0, np.arange(13.0)], np.r_[np.arange(13.0), 12.0]]
     for t in cases:
         dt = np.diff(t)
         want = (dt.min(), dt.max(), np.count_nonzero(dt)) if len(dt) else (0.0, 0.0, 0)

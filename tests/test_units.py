@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndtrap.units import (_UNIT_TABLE, CANONICAL_UNIT, _normalize_unit, format_quantity,
-                          pa_to_torr, parse_quantity, photon_energy_ev, torr_to_pa)
+from ndtrap.units import (_UNIT_TABLE, CANONICAL_UNIT, _normalize_unit, parse_quantity,
+                          photon_energy_ev, torr_to_pa)
 
 
 def test_peak_to_peak_halved_once():
     assert parse_quantity("4.5 kV P-P", "voltage") == 2250.0
     assert parse_quantity("4.5 kVpp", "voltage") == 2250.0
     assert parse_quantity("2250 V", "voltage") == 2250.0
-    # formatting back is amplitude, not P-P
-    assert format_quantity(2250.0, "voltage") == "2250.0 V"
 
 
 def test_si_prefix_exact_case():
@@ -30,7 +28,7 @@ def test_si_prefix_exact_case():
 
 def test_torr_pa_round_trip():
     for p in (1e-6, 0.2, 0.5, 760.0):
-        assert pa_to_torr(torr_to_pa(p)) == pytest.approx(p, rel=1e-12)
+        assert parse_quantity(f"{torr_to_pa(p)!r} Pa", "pressure") == pytest.approx(p, rel=1e-12)
     assert torr_to_pa(1.0) == pytest.approx(133.3223684210526, rel=1e-12)
 
 
