@@ -13,13 +13,13 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import Particle, TrapConfig, UVSource, charge_envelope
-from .fitters import FitError, fit_exponential
+from .fitters import FitError, _time_steps, fit_exponential
 # unused here; perfbench/tracer.py wraps this module's simulate_charge_trajectory
 from .photoemission import EmissionModel, emission_rate, simulate_charge_trajectory  # noqa: F401
 
@@ -28,12 +28,22 @@ DEFAULT_FRAME_RATE = 10.0  # Hz, CCD-video style sampling
 
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """Number of still-trapped particles vs time."""
+    """Number of still-trapped particles vs time.
+
+    Curves built by ``_survival_curve`` carry their runs in ``runs``:
+    (run-start frames, run values, ``fitters._time_steps`` of the frame
+    grid), the runs strictly decreasing by construction.  Such a curve skips
+    the frame-length non-increasing scan here, and ``fit_exponential`` reads
+    its runs in place of scanning the frames.  A curve given from outside
+    leaves ``runs`` None and gets every check; a ``dataclasses.replace`` of
+    its times or counts must pass ``runs=None`` too.
+    """
 
     times: np.ndarray
     n_alive: np.ndarray
     n0: int
     uv_on_time: float
+    runs: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -50,7 +60,7 @@ class SurvivalCurve:
         if len(n):
             if n[0] != self.n0:
                 raise ValueError("curve must start at n0")
-            if (n[1:] > n[:-1]).any():
+            if self.runs is None and (n[1:] > n[:-1]).any():
                 raise ValueError("n_alive must be non-increasing")
             if n[-1] < 0:
                 raise ValueError("counts must be non-negative")
@@ -150,10 +160,22 @@ def _frame_times(duration, frame_rate) -> np.ndarray:
     A fresh frame-sized array per curve, with the fit's, lands on freshly
     mapped pages whenever the allocator has trimmed its heap in between.
     """
-    times = np.arange(int(math.floor(duration * frame_rate)) + 1, dtype=float)
+    product = duration * frame_rate
+    # a product a few ulps below a whole number is that number: 0.29 s at 100 Hz
+    # is 28.999999999999996 frame periods, and its last frame lies at 0.29 s
+    last = round(product)
+    if abs(product - last) > 4 * math.ulp(product):
+        last = math.floor(product)
+    times = np.arange(last + 1, dtype=float)
     times /= frame_rate
     times.flags.writeable = False
     return times
+
+
+@functools.lru_cache(maxsize=8)
+def _frame_steps(duration, frame_rate) -> tuple:
+    """``fitters._time_steps`` of ``_frame_times(duration, frame_rate)``: three scalars."""
+    return _time_steps(_frame_times(duration, frame_rate))
 
 
 def _survival_curve(deaths, duration, frame_rate, uv_on_time) -> SurvivalCurve:
@@ -162,11 +184,16 @@ def _survival_curve(deaths, duration, frame_rate, uv_on_time) -> SurvivalCurve:
     times = _frame_times(duration, frame_rate)[:]   # a view no caller can make writeable
     # a death counts from the first frame at or after it; one after the last frame
     # never counts.  Each count holds from its frame to the next: at most n0 + 1
-    # runs, written out once.
+    # runs, written out once and carried to the fit, less the empty last run
+    # of deaths past the last frame.
     frames, deaths_at = np.unique(np.searchsorted(times, deaths), return_counts=True)
     values = n0 - np.r_[0, np.cumsum(deaths_at)]
-    alive = np.repeat(values, np.diff(np.r_[0, frames, len(times)]))
-    return SurvivalCurve(times=times, n_alive=alive, n0=n0, uv_on_time=uv_on_time)
+    edges = np.r_[0, frames, len(times)]
+    lengths = np.diff(edges)
+    alive = np.repeat(values, lengths)
+    held = lengths > 0
+    runs = (edges[:-1][held], values[held], _frame_steps(duration, frame_rate))
+    return SurvivalCurve(times=times, n_alive=alive, n0=n0, uv_on_time=uv_on_time, runs=runs)
 
 
 def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,

@@ -347,43 +347,73 @@ def _time_steps(t: np.ndarray):
     return lo, hi, sum(np.count_nonzero(np.diff(t[i:i + STEP_BLOCK + 1])) for i in blocks)
 
 
+def _curve_runs(curve, uv_on_time: float):
+    """The curve from UV on and its runs: (t, y, t_min, span, spacing, starts,
+    values), with each run the frames from its start up to the next.
+
+    A curve built by ``ensemble._survival_curve`` carries its runs and the
+    steps of its frame grid, so it is cut at UV on by a binary search and
+    only a cut that drops frames differences the remaining times.  Any other
+    curve takes the frame scan: the mask, the steps, and on an even grid the
+    frames where the value changes.  Either way, times off one even grid are
+    runs of one frame.
+    """
+    t = np.asarray(curve.times, dtype=float)
+    y = np.asarray(curve.n_alive)
+    carried = getattr(curve, "runs", None)
+    if carried is None:
+        after = t >= uv_on_time
+        if not after.all():
+            t, y = t[after], y[after]
+        step_lo, step_hi, nonzero = _time_steps(t)
+    else:
+        # frame times are sorted: the mask t >= uv_on_time is a suffix
+        starts, values, (step_lo, step_hi, nonzero) = carried
+        cut = int(np.searchsorted(t, uv_on_time))
+        if cut:
+            t, y = t[cut:], y[cut:]
+            step_lo, step_hi, nonzero = _time_steps(t)
+            first = np.searchsorted(starts, cut, side="right") - 1
+            starts, values = np.r_[cut, starts[first + 1:]] - cut, values[first:]
+    distinct = 1 + nonzero if step_lo >= 0 else len(np.unique(t))
+    if distinct < 3:
+        raise DegenerateFitError("need at least 3 distinct times after UV on")
+    # sorted times have their extremes at the ends
+    t_min, span = (t[0], t[-1] - t[0]) if step_lo >= 0 else (np.min(t), np.ptp(t))
+    spacing = (t[-1] - t[0]) / (len(t) - 1)
+    if spacing > 0 and max(step_hi - spacing, spacing - step_lo) <= EVEN_GRID_TOLERANCE * spacing:
+        if carried is None:
+            starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+            values = y[starts]
+    else:
+        starts, spacing, values = np.arange(len(t)), 1.0, y   # a run of one frame has no spacing
+    return t, y, float(t_min), float(span), spacing, starts, values
+
+
 def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     """Fit N(t) = N0 exp(-t/tau) to the post-illumination part of a survival curve.
 
     Times are measured from the UV turn-on.  Non-decaying data comes back
     converged with a very large tau and the ``no_decay`` flag.
 
-    The least-squares fit is exact and, past the pass that finds the runs of
-    equal value on one even grid (other curves are runs of one frame), costs
-    runs: the start, Newton on the profile -A^2/B over log tau (N0 = A/B),
-    the residual and the covariance are per-run closed-form sums.
+    The least-squares fit is exact and costs runs of equal value on one even
+    grid (other curves are runs of one frame): the start, Newton on the
+    profile -A^2/B over log tau (N0 = A/B), the residual and the covariance
+    are per-run closed-form sums.  Curves from ``ensemble._survival_curve``
+    carry their runs; any other curve finds them in one pass over its frames
+    (``_curve_runs``).
 
     On integer count data the tau standard error is the survival statistic
     tau / sqrt(observed deaths): the residual-based covariance badly
     underestimates on counting curves, whose deviations are correlated
     across time.  Other data keeps the plain least-squares covariance.
     """
-    t = np.asarray(curve.times, dtype=float)
-    y = np.asarray(curve.n_alive)
     if uv_on_time is None:
         uv_on_time = getattr(curve, "uv_on_time", 0.0)
-    after = t >= uv_on_time
-    if not after.all():
-        t, y = t[after], y[after]
-    step_lo, step_hi, nonzero = _time_steps(t)
-    distinct = 1 + nonzero if step_lo >= 0 else len(np.unique(t))
-    if distinct < 3:
-        raise DegenerateFitError("need at least 3 distinct times after UV on")
-    # sorted times have their extremes at the ends
-    t_min, span = (t[0], t[-1] - t[0]) if step_lo >= 0 else (np.min(t), np.ptp(t))
-    t0, span = float(t_min) - uv_on_time, float(span)
-    spacing = (t[-1] - t[0]) / (len(t) - 1)
-    if spacing > 0 and max(step_hi - spacing, spacing - step_lo) <= EVEN_GRID_TOLERANCE * spacing:
-        starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
-    else:
-        starts, spacing = np.arange(len(t)), 1.0   # a run of one frame has no spacing
+    t, y, t_min, span, spacing, starts, values = _curve_runs(curve, uv_on_time)
+    t0 = t_min - uv_on_time
     lengths = np.diff(np.r_[starts, len(t)]).astype(float)
-    values = y[starts].astype(float)
+    values = values.astype(float)
     begins = t[starts] - uv_on_time
     # N0 is free, so measuring time from the earliest frame leaves tau alone
     # and keeps B >= 1 however short the trial tau

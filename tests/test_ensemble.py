@@ -322,6 +322,39 @@ def test_curves_of_one_run_length_share_read_only_times():
         a.times.flags.writeable = True
 
 
+def test_frame_times_keep_the_last_frame():
+    # a run's frames reach its duration even where duration * frame_rate
+    # rounds a few ulps below a whole number; every bundled grid is whole
+    from ndtrap.ensemble import _frame_times
+    for duration, rate, frames in ((0.29, 100.0, 30), (0.57, 100.0, 58), (0.295, 100.0, 30),
+                                   (0.1, 30.0, 4), (25000.0, 2.0, 50001), (4000.0, 2.0, 8001),
+                                   (240.0, 10.0, 2401), (8000.0, 0.5, 4001)):
+        times = _frame_times(duration, rate)
+        assert len(times) == frames, (duration, rate)
+        assert times.tolist() == (np.arange(frames) / rate).tolist()
+    assert _frame_times(0.29, 100.0)[-1] == 0.29
+    assert _frame_times(0.57, 100.0)[-1] == 0.57
+
+
+def test_internal_curves_fail_loudly():
+    # curves that carry their runs keep the O(1) checks: a loss on frame 0
+    # leaves the curve short of n0 at t = 0
+    from dataclasses import replace
+
+    from ndtrap.ensemble import _survival_curve
+    with pytest.raises(ValueError, match="curve must start at n0"):
+        _survival_curve(np.array([0.0, 2.0]), 50.0, 10.0, 0.0)
+    with pytest.raises(ValueError, match="curve must start at n0"):
+        _survival_curve(np.array([-1.0]), 50.0, 10.0, 0.0)
+    curve = _survival_curve(np.array([1.0, 2.0]), 5.0, 10.0, 0.0)
+    assert curve.runs is not None
+    # new counts from outside drop the runs and get every check again
+    rising = curve.n_alive.copy()
+    rising[-1] = 2
+    with pytest.raises(ValueError, match="non-increasing"):
+        replace(curve, n_alive=rising, runs=None)
+
+
 def test_survival_curve_validation():
     with pytest.raises(ValueError):
         SurvivalCurve(times=np.arange(3.0), n_alive=np.array([5, 6, 4]),
@@ -339,3 +372,4 @@ def test_survival_curve_validation():
     whole = SurvivalCurve(times=np.arange(3.0), n_alive=np.array([5.0, 4.0, 4.0]), n0=5,
                           uv_on_time=0.0)
     assert whole.n_alive.dtype.kind == "i" and whole.n_alive.tolist() == [5, 4, 4]
+    assert whole.runs is None

@@ -1,5 +1,6 @@
 """Nonlinear least squares and the four measurement-model fits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -337,6 +338,62 @@ def test_time_steps_match_one_diff(monkeypatch):
         want = (dt.min(), dt.max(), np.count_nonzero(dt)) if len(dt) else (0.0, 0.0, 0)
         got = fitters._time_steps(t)
         assert np.array_equal(got, want, equal_nan=True), t
+
+
+def fit_bits(curve):
+    """fit_exponential's result field by field, floats as their bytes, or the
+    DegenerateFitError it raised."""
+    def bits(value):
+        if isinstance(value, dict):
+            return {k: bits(v) for k, v in value.items()}
+        if isinstance(value, (float, np.ndarray)):
+            return np.asarray(value, dtype=float).tobytes()
+        return value
+    try:
+        res = fit_exponential(curve)
+    except DegenerateFitError as exc:
+        return ("DegenerateFitError", str(exc))
+    return {f.name: bits(getattr(res, f.name)) for f in dataclasses.fields(res)}
+
+
+def frame_units(kind, k, frames):
+    """A time in frame periods: on frame k, between frames k and k + 1, or
+    past the last frame."""
+    return {"on": float(k), "between": k + 0.375, "after": frames + 1.5}[kind]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(frame_rate=st.sampled_from([0.5, 2.0, 10.0, 100.0]),
+       frames=st.integers(1, 400),
+       part=st.sampled_from([0.0, 0.25]),
+       deaths=st.lists(st.tuples(st.sampled_from(["on", "between", "after", "inf"]),
+                                 st.integers(1, 400)), min_size=1, max_size=60),
+       uv=st.tuples(st.sampled_from(["on", "between", "after"]), st.integers(0, 400)))
+# 0.29 s at 100 Hz: 28.999999999999996 periods, a death on its last frame
+@example(frame_rate=100.0, frames=29, part=0.0, deaths=[("on", 29), ("between", 3)],
+         uv=("on", 0))
+@example(frame_rate=2.0, frames=300, part=0.0,
+         deaths=[("on", 300), ("after", 0), ("inf", 0), ("between", 299)], uv=("on", 299))
+def test_carried_runs_fit_as_the_frame_scan(frame_rate, frames, part, deaths, uv):
+    # a curve from _survival_curve carries its runs to fit_exponential; its
+    # fit, or the DegenerateFitError it raises, is bit for bit the fit of a
+    # plain copy that takes the frame scan, and the carried runs and steps
+    # are the ones that scan finds
+    duration = (frames + part) / frame_rate
+    kind, k = uv
+    uv_on_time = frame_units(kind, min(k, frames), frames) / frame_rate
+    times = [math.inf if kind == "inf" else frame_units(kind, k, frames) / frame_rate
+             for kind, k in deaths]
+    curve = ensemble._survival_curve(np.array(times), duration, frame_rate, uv_on_time)
+    plain = ensemble.SurvivalCurve(times=np.array(curve.times), n_alive=curve.n_alive.copy(),
+                                   n0=curve.n0, uv_on_time=curve.uv_on_time)
+    assert curve.runs is not None and plain.runs is None
+    assert fit_bits(curve) == fit_bits(plain)
+    starts, values, steps = curve.runs
+    y = curve.n_alive
+    assert starts.tolist() == np.flatnonzero(np.r_[True, y[1:] != y[:-1]]).tolist()
+    assert values.tolist() == y[starts].tolist()
+    assert np.array_equal(steps, fitters._time_steps(plain.times))
 
 
 # ----------------------------------------------------------- fit_sigmoid
