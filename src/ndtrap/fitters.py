@@ -348,15 +348,12 @@ def _time_steps(t: np.ndarray):
 
 
 def _curve_runs(curve, uv_on_time: float):
-    """The curve from UV on and its runs: (t, y, t_min, span, spacing, starts,
-    values), with each run the frames from its start up to the next.
+    """The curve from UV on as (t, y, t_min, span, spacing, run starts, run values).
 
-    A curve built by ``ensemble._survival_curve`` carries its runs and the
-    steps of its frame grid, so it is cut at UV on by a binary search and
-    only a cut that drops frames differences the remaining times.  Any other
-    curve takes the frame scan: the mask, the steps, and on an even grid the
-    frames where the value changes.  Either way, times off one even grid are
-    runs of one frame.
+    A curve from ``ensemble._survival_curve`` carries its runs and grid steps:
+    it is cut at UV on by a binary search, and only a cut that drops frames
+    differences the times left.  Other curves take the frame scan.  Times off
+    one even grid are runs of one frame.
     """
     t = np.asarray(curve.times, dtype=float)
     y = np.asarray(curve.n_alive)
