@@ -5,8 +5,10 @@ discrete charge lattice f = delta_f * N_e.
 The core solver is a damped Gauss-Newton (Levenberg-Marquardt) with forward
 finite-difference Jacobians, used by the sigmoid; models that admit closed
 forms use them directly: the power law, the piecewise-quadratic lattice
-objective, and the exponential, whose least squares reduce to a 1-D profile
-over log tau built from per-run geometric sums.
+objective, and the exponential.  A survival count curve is fit by the
+censored-exponential likelihood, whose maximum is closed form in a few sums
+over the curve's runs; other exponential data by least squares, which reduce
+to a 1-D profile over log tau built from per-run geometric sums.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ class FitResult:
     parameters: dict
     errors: dict
     covariance: np.ndarray
-    residual_norm: float          # weighted sum of squared residuals
+    # weighted sum of squared residuals; the lattice fit's objective; and for an
+    # exponential fit by likelihood (survival counts), the binomial deviance
+    residual_norm: float
     iterations: int
     converged: bool
     dof: int
@@ -348,7 +352,9 @@ def _time_steps(t: np.ndarray):
 
 
 def _curve_runs(curve, uv_on_time: float):
-    """The curve from UV on as (t, y, t_min, span, spacing, run starts, run values).
+    """The curve from UV on as (t, y, t_min, span, spacing, run starts, run
+    values, even): ``even`` says the frames lie on one even grid of step
+    ``spacing``.
 
     A curve from ``ensemble._survival_curve`` carries its runs and grid steps:
     it is cut at UV on by a binary search, and only a cut that drops frames
@@ -378,36 +384,114 @@ def _curve_runs(curve, uv_on_time: float):
     # sorted times have their extremes at the ends
     t_min, span = (t[0], t[-1] - t[0]) if step_lo >= 0 else (np.min(t), np.ptp(t))
     spacing = (t[-1] - t[0]) / (len(t) - 1)
-    if spacing > 0 and max(step_hi - spacing, spacing - step_lo) <= EVEN_GRID_TOLERANCE * spacing:
+    even = bool(spacing > 0 and max(step_hi - spacing, spacing - step_lo)
+                <= EVEN_GRID_TOLERANCE * spacing)
+    if even:
         if carried is None:
             starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
             values = y[starts]
     else:
         starts, spacing, values = np.arange(len(t)), 1.0, y   # a run of one frame has no spacing
-    return t, y, float(t_min), float(span), spacing, starts, values
+    return t, y, float(t_min), float(span), spacing, starts, values, even
+
+
+def _counts_falling(values: np.ndarray) -> bool:
+    """Run values that are whole, non-negative counts, each below the one before."""
+    if values.dtype.kind not in "biu" and not (
+            np.isfinite(values).all() and (values == np.round(values)).all()):
+        return False
+    return bool(values[-1] >= 0 and (values[1:] < values[:-1]).all())
 
 
 def fit_exponential(curve, uv_on_time: Optional[float] = None) -> FitResult:
     """Fit N(t) = N0 exp(-t/tau) to the post-illumination part of a survival curve.
 
     Times are measured from the UV turn-on.  Non-decaying data comes back
-    converged with a very large tau and the ``no_decay`` flag.
+    converged with a very large or infinite tau and the ``no_decay`` flag.
 
-    The least-squares fit is exact and costs runs of equal value on one even
-    grid (other curves are runs of one frame): the start, Newton on the
-    profile -A^2/B over log tau (N0 = A/B), the residual and the covariance
-    are per-run closed-form sums.  Curves from ``ensemble._survival_curve``
-    carry their runs; any other curve finds them in one pass over its frames
-    (``_curve_runs``).
+    Survival counts on one even grid (whole, non-negative counts whose runs
+    only fall) are fit by the censored-exponential maximum likelihood, in
+    closed form on their runs (``_censored_exponential``): the tau error is
+    the likelihood's, about tau / sqrt(deaths).  Every other curve (non-count
+    data, uneven or unsorted times, counts that rise) takes the exact
+    least-squares fit of ``_least_squares_exponential``.  Curves from
+    ``ensemble._survival_curve`` carry their runs; any other curve finds them
+    in one pass over its frames (``_curve_runs``).
+    """
+    if uv_on_time is None:
+        uv_on_time = getattr(curve, "uv_on_time", 0.0)
+    scan = _curve_runs(curve, uv_on_time)
+    _, y, t_min, span, spacing, starts, values, even = scan
+    if even and _counts_falling(values):
+        return _censored_exponential(y, t_min - uv_on_time, span, spacing, starts, values)
+    return _least_squares_exponential(scan, uv_on_time)
 
-    On integer count data the tau standard error is the survival statistic
+
+def _censored_exponential(y, t0: float, span: float, spacing: float,
+                          starts: np.ndarray, values: np.ndarray) -> FitResult:
+    """Maximum likelihood of an exponential lifetime from counts on one grid.
+
+    Frames t_j = t0 + j h, j = 0..J, hold counts N_j; given N_0, each of the
+    d_j particles gone between frames j - 1 and j has likelihood
+    r^(j-1) (1 - r), and each of the N_J left r^J, with r = exp(-h/tau).
+    With D = sum d_j and S = sum d_j (j - 1) + N_J J = sum_{j>=1} N_j (the
+    particle-intervals survived), the maximum is r = S / (S + D), so
+    tau = h / log1p(D/S), with information S/r^2 + D/(1-r)^2.  Deaths sit at
+    the run starts, so this costs a few sums over the runs.
+
+    n0 = N_0 exp(t0/tau), t0 from UV on; its error reads N_0 as a Poisson
+    count, plus tau's share through exp(t0/tau).  ``residual_norm`` is the
+    deviance 2 (log L_sat - log L) against a free hazard per interval.
+    """
+    if values[0] == values[-1]:
+        return _no_decay_result(y)
+    last = len(y) - 1
+    at_risk = values[:-1].astype(float)
+    gone = at_risk - values[1:]
+    deaths = float(values[0] - values[-1])
+    exposure = float(np.dot(gone, starts[1:] - 1.0)) + float(values[-1]) * last
+    if exposure == 0:
+        raise DegenerateFitError("every particle is gone after the first frame interval: "
+                                 "the lifetime is shorter than the grid resolves")
+    h = float(spacing)
+    trials = exposure + deaths
+    r = exposure / trials
+    tau = h / math.log1p(deaths / exposure)
+    try:
+        n0 = float(values[0]) * math.exp(t0 / tau)
+    except OverflowError:
+        raise DegenerateFitError("N0 overflows: the first frame after UV on "
+                                 "lies hundreds of lifetimes after it") from None
+    # var r = 1 / information = S D / (S + D)^3, and dtau/dr = tau^2 / (h r)
+    var_tau = (tau * tau / (h * r)) ** 2 * (exposure * deaths / trials ** 3)
+    dn0_dtau = -n0 * t0 / (tau * tau)
+    cov = np.array([[n0 * n0 / float(values[0]) + dn0_dtau * dn0_dtau * var_tau,
+                     dn0_dtau * var_tau], [dn0_dtau * var_tau, var_tau]])
+    left = values[1:].astype(float)
+    saturated = float(np.dot(gone, np.log(gone / at_risk))
+                      + np.dot(left, np.log(np.maximum(left, 1.0) / at_risk)))
+    deviance = 2.0 * (saturated - deaths * math.log(deaths / trials) - exposure * math.log(r))
+    err = math.sqrt(var_tau)
+    return FitResult(param_names=("n0", "tau"), parameters={"n0": n0, "tau": tau},
+                     errors={"n0": math.sqrt(cov[0, 0]), "tau": err}, covariance=cov,
+                     residual_norm=max(deviance, 0.0), iterations=0, converged=True,
+                     dof=last - 1,
+                     flags=("no_decay",) if tau > NO_DECAY_SPAN_FACTOR * span else (),
+                     derived={"lifetime": tau, "lifetime_error": err})
+
+
+def _least_squares_exponential(scan: tuple, uv_on_time: float) -> FitResult:
+    """The least-squares fit on the runs ``_curve_runs`` returns (``scan``):
+    exact, and costed by runs of equal value on one even grid (runs of one
+    frame off it).  The start, Newton on the profile -A^2/B over log tau
+    (N0 = A/B), the residual and the covariance are per-run closed-form sums.
+
+    On integer data the tau standard error is the survival statistic
     tau / sqrt(observed deaths): the residual-based covariance badly
     underestimates on counting curves, whose deviations are correlated
     across time.  Other data keeps the plain least-squares covariance.
     """
-    if uv_on_time is None:
-        uv_on_time = getattr(curve, "uv_on_time", 0.0)
-    t, y, t_min, span, spacing, starts, values = _curve_runs(curve, uv_on_time)
+    t, y, t_min, span, spacing, starts, values, _ = scan
     t0 = t_min - uv_on_time
     lengths = np.diff(np.r_[starts, len(t)]).astype(float)
     values = values.astype(float)

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from test_fitters import lm_exponential_fit
+from test_fitters import likelihood_tau, lm_exponential_fit
 
 from ndtrap import io
 from ndtrap.cli import KIND_RUNNERS, main
@@ -145,18 +145,18 @@ def test_fit_sigmoid_on_bundled_data(tmp_path):
     assert abs(result["derived"]["center_wavelength"] - 280.0) <= 2.0
 
 
-def check_fit_exp(tmp_path, data, uv_on):
-    """``fit exp --band`` on a two-column CSV: tau as the LM reference on the
-    frames after UV on, and one band row per such frame."""
+def check_fit_exp(tmp_path, data, uv_on, reference):
+    """``fit exp --band`` on a two-column CSV: tau as ``reference(t, y)`` gives
+    it on the frames after UV on, and one band row per such frame."""
     out, band = tmp_path / "exp.json", tmp_path / "band.csv"
     code = main(["fit", "exp", str(data), "--out", str(out), "--band", str(band),
                  "--uv-on", str(uv_on)])
     assert code == 0
     _, (t, y) = io.read_csv_columns(data)
     keep = t >= uv_on
-    ref = lm_exponential_fit(t[keep] - uv_on, y[keep])
     result = json.loads(out.read_text())
-    assert result["parameters"]["tau"] == pytest.approx(ref["tau"], rel=1e-6)
+    tau = reference(t[keep] - uv_on, y[keep])
+    assert result["parameters"]["tau"] == pytest.approx(tau, rel=1e-6)
     header, (x, fitted, sigma) = io.read_csv_columns(band)
     assert header == ["x", "fit", "sigma"]
     assert np.array_equal(x, t[keep] - uv_on)
@@ -169,13 +169,17 @@ def test_fit_exp_band_on_uneven_non_integer_csv(tmp_path):
     y = 80.0 * np.exp(-t / 12.0) * (1 + 0.02 * rng.standard_normal(60))
     data = tmp_path / "decay.csv"
     io.write_csv(data, ["t_s", "signal"], [t, y])
-    check_fit_exp(tmp_path, data, uv_on=0.0)
+    # not counts: the least-squares fit, as LM finds it
+    check_fit_exp(tmp_path, data, uv_on=0.0,
+                  reference=lambda t, y: lm_exponential_fit(t, y)["tau"])
 
 
 def test_fit_exp_band_on_bundled_survival_curve(tmp_path):
     cfg = write_scenario(tmp_path, "fig5_decay")
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "sim")]) == 0
-    check_fit_exp(tmp_path, tmp_path / "sim" / "survival.csv", uv_on=20.0)
+    # survival counts: the censored-exponential likelihood's maximum
+    check_fit_exp(tmp_path, tmp_path / "sim" / "survival.csv", uv_on=20.0,
+                  reference=lambda t, y: likelihood_tau(t, y)[0])
 
 
 def test_fit_exp_band_on_no_decay_curve_exit_1(tmp_path, capsys):

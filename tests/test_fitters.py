@@ -200,6 +200,40 @@ def lm_exponential_fit(t, y):
                    param_names=("n0", "tau"))
 
 
+def least_squares(curve):
+    """fit_exponential's least-squares path on any curve, count curves too."""
+    scan = fitters._curve_runs(curve, curve.uv_on_time)
+    return fitters._least_squares_exponential(scan, curve.uv_on_time)
+
+
+def likelihood_tau(t, y):
+    """Brute-force maximum of the censored-exponential likelihood of counts y
+    at evenly spaced times t, given y[0]: frame by frame, each particle lost
+    in an interval has probability 1 - r and each one kept r, with
+    r = exp(-h/tau).  log tau is scanned on a grid, then refined by golden
+    section.  Returns that tau and the error 1/sqrt(-d^2 log L/dtau^2) there."""
+    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+    h = (t[-1] - t[0]) / (len(t) - 1)
+    lost, kept = y[:-1] - y[1:], y[1:]
+
+    def loglik(tau):
+        return float(np.sum(lost * np.log(-np.expm1(-h / tau)) - kept * h / tau))
+    grid = np.linspace(math.log(h) - 12.0, math.log(h * len(t)) + 12.0, 401)
+    best = int(np.argmax([loglik(math.exp(u)) for u in grid]))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-12:
+        a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        if loglik(math.exp(a)) < loglik(math.exp(b)):
+            lo = a
+        else:
+            hi = b
+    tau = math.exp(0.5 * (lo + hi))
+    step = 1e-4 * tau
+    curvature = (loglik(tau + step) - 2.0 * loglik(tau) + loglik(tau - step)) / step**2
+    return tau, 1.0 / math.sqrt(-curvature)
+
+
 def post_uv(curve):
     keep = curve.times >= curve.uv_on_time
     return curve.times[keep] - curve.uv_on_time, curve.n_alive[keep]
@@ -223,12 +257,13 @@ def sweep_curves(monkeypatch):
 
 def test_fit_exponential_matches_lm_on_figure_curves(monkeypatch):
     # every survival curve reproduce fits for fig5, fig7 and fig8 at the
-    # default seeds: the run-length fit is the least-squares minimum LM
-    # approaches, so tau agrees and the residual is no larger
+    # default seeds, through the least-squares path: the run-length fit is
+    # the least-squares minimum LM approaches, so tau agrees and the residual
+    # is no larger
     curves = [run_survival_scenario(load_bundled_scenario("fig5_decay"))]
     curves += sweep_curves(monkeypatch)
     for curve in curves:
-        res = fit_exponential(curve)
+        res = least_squares(curve)
         ref = lm_exponential_fit(*post_uv(curve))
         assert res.converged and ref.converged and not res.flags
         assert res["tau"] == pytest.approx(ref["tau"], rel=1e-6)
@@ -240,10 +275,11 @@ def test_fit_exponential_matches_lm_on_figure_curves(monkeypatch):
 
 
 def test_run_sums_match_polyfit_and_frame_residual(monkeypatch):
-    # on the fig7 and fig8 sweep curves the per-run sums give what the frames
-    # give: the log-linear start is np.polyfit's slope, tau is where Newton
-    # lands from np.polyfit's own start, the residual is the frame-wise sum,
-    # and so is each of the six decay sums, at, below and above the fitted tau
+    # on the fig7 and fig8 sweep curves the least-squares path's per-run sums
+    # give what the frames give: the log-linear start is np.polyfit's slope,
+    # tau is where Newton lands from np.polyfit's own start, the residual is
+    # the frame-wise sum, and so is each of the six decay sums, at, below and
+    # above the fitted tau
     run_slope = fitters._log_linear_slope
     for curve in sweep_curves(monkeypatch):
         t, y = post_uv(curve)
@@ -257,9 +293,9 @@ def test_run_sums_match_polyfit_and_frame_residual(monkeypatch):
             return seen[-1]
         with monkeypatch.context() as patch:
             patch.setattr(fitters, "_log_linear_slope", recorded_slope)
-            res = fit_exponential(curve)
+            res = least_squares(curve)
             patch.setattr(fitters, "_log_linear_slope", lambda runs: slope)
-            ref = fit_exponential(curve)
+            ref = least_squares(curve)
         assert seen == [pytest.approx(slope, rel=1e-12)]
         assert res["tau"] == pytest.approx(ref["tau"], rel=1e-12)
         frames = y - exponential_model(t, res["n0"], res["tau"])
@@ -284,18 +320,18 @@ def test_run_sums_match_polyfit_and_frame_residual(monkeypatch):
 # equal residuals to rounding, tau 1.2e-6 apart (tau ~ 330 spans)
 @example(n0=191, drops=[1, 0, 0, 0, 0, 0, 0], spacing=7.0, start=0.05)
 def test_fit_exponential_property_vs_lm(n0, drops, spacing, start):
-    # integer survival curves on an even grid: the fit's residual is never
-    # above LM's, and tau agrees wherever LM converged to the same minimum.
-    # Each residual r_i is known to about eps |y_i| only, so near-exact fits
-    # (three points on one slope) also get the rounding floor
-    # 8 eps sqrt(ssr sum y^2) of the sum.  LM's convergence test (relative
-    # step and drop below 1e-10) can stop short where the objective is flat
-    # in tau: past NO_DECAY_SPAN_FACTOR spans (flagged no_decay) the data fix
-    # tau to no better than 1e-6, and where LM's residual is above the fit's
+    # integer survival curves on an even grid, through the least-squares path:
+    # the fit's residual is never above LM's, and tau agrees wherever LM
+    # converged to the same minimum.  Each residual r_i is known to about eps
+    # |y_i| only, so near-exact fits (three points on one slope) also get the
+    # rounding floor 8 eps sqrt(ssr sum y^2) of the sum.  LM's convergence test
+    # (relative step and drop below 1e-10) can stop short where the objective is
+    # flat in tau: past NO_DECAY_SPAN_FACTOR spans (flagged no_decay) the data
+    # fix tau to no better than 1e-6, and where LM's residual is above the fit's
     # LM is the one off the minimum
     y = np.maximum(n0 - np.cumsum([0] + drops), 0)
     t = start + spacing * np.arange(len(y))
-    res = fit_exponential(CurveStub(t, y))
+    res = least_squares(CurveStub(t, y))
     pos = y > 0
     if pos.sum() < 2 or np.ptp(y[pos]) == 0:
         assert res.flags == ("no_decay",)      # no log-linear decay: no fit
@@ -340,8 +376,8 @@ def test_time_steps_match_one_diff(monkeypatch):
         assert np.array_equal(got, want, equal_nan=True), t
 
 
-def fit_bits(curve):
-    """fit_exponential's result field by field, floats as their bytes, or the
+def fit_bits(curve, fit=fit_exponential):
+    """A fit's result field by field, floats as their bytes, or the
     DegenerateFitError it raised."""
     def bits(value):
         if isinstance(value, dict):
@@ -350,7 +386,7 @@ def fit_bits(curve):
             return np.asarray(value, dtype=float).tobytes()
         return value
     try:
-        res = fit_exponential(curve)
+        res = fit(curve)
     except DegenerateFitError as exc:
         return ("DegenerateFitError", str(exc))
     return {f.name: bits(getattr(res, f.name)) for f in dataclasses.fields(res)}
@@ -394,6 +430,76 @@ def test_carried_runs_fit_as_the_frame_scan(frame_rate, frames, part, deaths, uv
     assert starts.tolist() == np.flatnonzero(np.r_[True, y[1:] != y[:-1]]).tolist()
     assert values.tolist() == y[starts].tolist()
     assert np.array_equal(steps, fitters._time_steps(plain.times))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(frame_rate=st.sampled_from([0.5, 2.0, 10.0, 100.0]),
+       frames=st.integers(3, 300),
+       deaths=st.lists(st.tuples(st.sampled_from(["on", "between", "after"]),
+                                 st.integers(0, 300)), min_size=1, max_size=80),
+       uv=st.tuples(st.sampled_from(["on", "between"]), st.integers(0, 300)))
+# every particle gone in the first interval after UV on: no lifetime resolved
+@example(frame_rate=10.0, frames=20, deaths=[("between", 0), ("on", 0)], uv=("on", 0))
+def test_fit_exponential_is_the_likelihood_maximum(frame_rate, frames, deaths, uv):
+    # a simulated survival curve takes the closed form: the lifetime a
+    # brute-force maximization of the censored-exponential likelihood finds,
+    # the error from that likelihood's curvature, and n0 the first count
+    # after UV on carried back to it.  UV turns on on a frame or between
+    # frames; deaths fall on frames, between them and past the last one
+    kind, k = uv
+    uv_on_time = frame_units(kind, k % (frames - 1), frames) / frame_rate
+    times = [frame_units(kind, 1 + k % frames, frames) / frame_rate for kind, k in deaths]
+    curve = ensemble._survival_curve(np.array(times), frames / frame_rate, frame_rate,
+                                     uv_on_time)
+    t, y = post_uv(curve)
+    if len(t) < 3:
+        with pytest.raises(DegenerateFitError, match="3 distinct times"):
+            fit_exponential(curve)
+        return
+    if y[0] == y[-1]:                       # no deaths: today's no_decay result
+        assert fit_bits(curve) == fit_bits(curve, least_squares)
+        assert fit_exponential(curve).flags == ("no_decay",)
+        return
+    if not y[1:].any():                     # the likelihood rises as tau -> 0
+        with pytest.raises(DegenerateFitError, match="first frame interval"):
+            fit_exponential(curve)
+        return
+    res = fit_exponential(curve)
+    tau, err = likelihood_tau(t, y)
+    assert res.iterations == 0 and res.converged
+    assert res["tau"] == pytest.approx(tau, rel=1e-6)
+    assert res.errors["tau"] == pytest.approx(err, rel=1e-4)
+    assert res["n0"] == pytest.approx(y[0] * math.exp(t[0] / res["tau"]), rel=1e-12)
+    assert res.residual_norm >= 0.0 and res.dof == len(t) - 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drops=st.lists(st.integers(0, 6), min_size=3, max_size=60),
+       spoil=st.sampled_from(["non_integer", "rising", "negative", "uneven",
+                              "one_frame_runs", "unsorted"]),
+       at=st.integers(0, 10**6), start=st.sampled_from([0.0, 0.3]))
+def test_curves_off_the_count_path_fit_by_least_squares(drops, spoil, at, start):
+    # falling whole counts on one even grid take the closed form; spoil one
+    # of those and the fit is the least-squares path's, bit for bit:
+    # non-integer, rising or negative counts, one uneven step, a new count
+    # at every frame over an uneven grid (runs of one frame), unsorted times
+    y = 300.0 - np.cumsum([0] + drops)
+    t = start + 0.5 * np.arange(len(y))
+    i = 1 + at % (len(y) - 1)
+    if spoil == "non_integer":
+        y[i] += 0.5
+    elif spoil == "rising":
+        y[i] = y[i - 1] + 1.0
+    elif spoil == "negative":
+        y -= y[-1] + 1.0
+    elif spoil in ("uneven", "one_frame_runs"):
+        t[i:] += 0.1
+        if spoil == "one_frame_runs":
+            y = 300.0 - 2.0 * np.arange(len(y))
+    else:
+        t[[i - 1, i]] = t[[i, i - 1]]
+    curve = CurveStub(t, y)
+    assert fit_bits(curve) == fit_bits(curve, least_squares)
 
 
 # ----------------------------------------------------------- fit_sigmoid
