@@ -187,12 +187,8 @@ def _survival_curve(deaths, duration, frame_rate, uv_on_time) -> SurvivalCurve:
     # runs, written out once and carried to the fit, less the empty last run
     # of deaths past the last frame.
     frames, deaths_at = np.unique(np.searchsorted(times, deaths), return_counts=True)
-    values = np.empty(len(frames) + 1, dtype=deaths_at.dtype)
-    values[0] = 0
-    np.cumsum(deaths_at, out=values[1:])
-    np.subtract(n0, values, out=values)
-    edges = np.empty(len(frames) + 2, dtype=frames.dtype)
-    edges[0], edges[1:-1], edges[-1] = 0, frames, len(times)
+    values = np.concatenate(([n0], n0 - np.cumsum(deaths_at)))
+    edges = np.concatenate(([0], frames, [len(times)]))
     lengths = np.diff(edges)
     alive = np.repeat(values, lengths)
     held = lengths > 0
