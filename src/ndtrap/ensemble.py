@@ -179,16 +179,21 @@ def _frame_steps(duration, frame_rate) -> tuple:
 
 
 def _survival_curve(deaths, duration, frame_rate, uv_on_time) -> SurvivalCurve:
-    """Survivors at each frame of ``duration`` from one death time per particle."""
+    """Survivors at each frame of ``duration`` from one death time per particle
+    (at least one)."""
     n0 = len(deaths)
     times = _frame_times(duration, frame_rate)[:]   # a view no caller can make writeable
     # a death counts from the first frame at or after it; one after the last frame
     # never counts.  Each count holds from its frame to the next: at most n0 + 1
     # runs, written out once and carried to the fit, less the empty last run
-    # of deaths past the last frame.
-    frames, deaths_at = np.unique(np.searchsorted(times, deaths), return_counts=True)
-    values = np.concatenate(([n0], n0 - np.cumsum(deaths_at)))
-    edges = np.concatenate(([0], frames, [len(times)]))
+    # of deaths past the last frame.  Among the sorted frame indices, the death
+    # at i is the last at its frame where index i + 1 differs: the i + 1 deaths
+    # up to it leave n0 - 1 - i, and the final frame's leave none.
+    frames = np.searchsorted(times, deaths)
+    frames.sort()
+    last = np.flatnonzero(frames[:-1] != frames[1:])
+    values = np.concatenate(([n0], n0 - 1 - last, [0]))
+    edges = np.concatenate(([0], frames[last], frames[-1:], [len(times)]))
     lengths = np.diff(edges)
     alive = np.repeat(values, lengths)
     held = lengths > 0
@@ -223,7 +228,8 @@ def simulate_survival(n0: int, particle_template: Particle, trap: TrapConfig,
     rate = emission_rate(model, source, particle_template)
     rng = np.random.default_rng(seed)
     charges = np.asarray(charge_sampler(particle_template, trap)(rng, n0))
-    outside = (np.abs(charges) < s_lo) | (np.abs(charges) > s_hi)
+    size = np.abs(charges)
+    outside = (size < s_lo) | (size > s_hi)
     if outside.any():
         raise ValueError(f"initial charge {charges[outside.argmax()]} is outside the "
                          f"stable band ({s_lo} to {s_hi} e)")

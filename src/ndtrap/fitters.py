@@ -2,13 +2,15 @@
 exponential survival decay, wavelength sigmoid, size power law, and the
 discrete charge lattice f = delta_f * N_e.
 
-The core solver is a damped Gauss-Newton (Levenberg-Marquardt) with forward
-finite-difference Jacobians, used by the sigmoid; models that admit closed
-forms use them directly: the power law, the piecewise-quadratic lattice
-objective, and the exponential.  A survival count curve is fit by the
-censored-exponential likelihood, whose maximum is closed form in a few sums
-over the curve's runs; other exponential data by least squares, which reduce
-to a 1-D profile over log tau built from per-run geometric sums.
+The core solver is a damped Gauss-Newton (Levenberg-Marquardt) on the
+model's Jacobian when the caller gives one, forward finite differences
+otherwise; the sigmoid gives its analytic one (``sigmoid_jacobian``).  Models
+that admit closed forms use them directly: the power law, the
+piecewise-quadratic lattice objective, and the exponential.  A survival count
+curve is fit by the censored-exponential likelihood, whose maximum is closed
+form in a few sums over the curve's runs; other exponential data by least
+squares, which reduce to a 1-D profile over log tau built from per-run
+geometric sums.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ def _fd_jacobian(model: Callable, x: np.ndarray, theta: np.ndarray) -> np.ndarra
 def nls_fit(model: Callable, x, y, p0: Sequence[float],
             param_names: Optional[Sequence[str]] = None,
             weights=None, max_iterations: int = MAX_ITERATIONS,
-            tolerance: float = CONVERGENCE_TOL) -> FitResult:
+            tolerance: float = CONVERGENCE_TOL,
+            jacobian: Optional[Callable] = None) -> FitResult:
     """Damped Gauss-Newton minimization of sum w_i (y_i - model(x_i; theta))^2.
 
     Damping starts at 1e-3, grows x10 on a rejected step and shrinks /10 on
@@ -89,6 +92,10 @@ def nls_fit(model: Callable, x, y, p0: Sequence[float],
     residual decrease both fall below ``tolerance``.  Non-convergence returns
     the best parameters found with ``converged=False``; structurally
     degenerate problems raise DegenerateFitError.
+
+    ``jacobian``, called like ``model``, returns the (n, p) derivatives of
+    the model wrt theta; without it they are forward finite differences
+    (``_fd_jacobian``), p extra model calls per iteration.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -111,6 +118,11 @@ def nls_fit(model: Callable, x, y, p0: Sequence[float],
             raise ValueError("weights must be positive")
     sw = np.sqrt(w)
 
+    def jac_of(t):
+        if jacobian is None:
+            return _fd_jacobian(model, x, t)
+        return np.asarray(jacobian(x, *t), dtype=float)
+
     def ssr_of(t):
         r = sw * (y - np.asarray(model(x, *t), dtype=float))
         return r, float(r @ r)
@@ -121,31 +133,36 @@ def nls_fit(model: Callable, x, y, p0: Sequence[float],
     flags = []
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        jac = sw[:, None] * _fd_jacobian(model, x, theta)
+        jac = sw[:, None] * jac_of(theta)
         a = jac.T @ jac
         g = jac.T @ r
-        diag = np.diag(a).copy()
-        if not np.any(diag > 0):      # all zero, or none finite
-            flags.append("singular_normal_equations")
-            break
-        diag[diag <= 0] = diag[diag > 0].min()
+        diag = a.diagonal()
+        if not (diag > 0).all():
+            if not (diag > 0).any():      # all zero, or none finite
+                flags.append("singular_normal_equations")
+                break
+            diag = diag.copy()
+            diag[diag <= 0] = diag[diag > 0].min()
         accepted = False
         while lam < 1e14:
+            damped = a.copy()
+            damped.flat[::p + 1] += lam * diag
             try:
-                delta = np.linalg.solve(a + lam * np.diag(diag), g)
+                delta = np.linalg.solve(damped, g)
             except np.linalg.LinAlgError:
                 flags.append("singular_normal_equations")
-                delta = np.linalg.lstsq(a + lam * np.diag(diag), g, rcond=None)[0]
+                delta = np.linalg.lstsq(damped, g, rcond=None)[0]
             trial = theta + delta
             r_new, ssr_new = ssr_of(trial)
-            if np.isfinite(ssr_new) and ssr_new <= ssr:
-                rel_step = float(np.max(np.abs(delta) / (np.abs(theta) + 1e-300)))
+            if math.isfinite(ssr_new) and ssr_new <= ssr:
                 rel_drop = (ssr - ssr_new) / ssr if ssr > 0 else 0.0
+                # every |delta_i| / |theta_i| below tolerance: false on a NaN, as its max is
+                converged = rel_drop < tolerance and all(
+                    abs(d) / (abs(t) + 1e-300) < tolerance
+                    for d, t in zip(delta.tolist(), theta.tolist()))
                 theta, r, ssr = trial, r_new, ssr_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if rel_step < tolerance and rel_drop < tolerance:
-                    converged = True
                 break
             lam *= 10.0
         if not accepted:
@@ -154,7 +171,7 @@ def nls_fit(model: Callable, x, y, p0: Sequence[float],
         if converged:
             break
 
-    jac = sw[:, None] * _fd_jacobian(model, x, theta)
+    jac = sw[:, None] * jac_of(theta)
     if not np.all(np.isfinite(jac)):
         raise DegenerateFitError("the model's Jacobian is not finite at the fitted parameters")
     a = jac.T @ jac
@@ -377,7 +394,7 @@ def _curve_runs(curve, uv_on_time: float):
             t, y = t[cut:], y[cut:]
             step_lo, step_hi, nonzero = _time_steps(t)
             first = np.searchsorted(starts, cut, side="right") - 1
-            starts, values = np.r_[cut, starts[first + 1:]] - cut, values[first:]
+            starts, values = np.concatenate(([cut], starts[first + 1:])) - cut, values[first:]
     distinct = 1 + nonzero if step_lo >= 0 else len(np.unique(t))
     if distinct < 3:
         raise DegenerateFitError("need at least 3 distinct times after UV on")
@@ -540,6 +557,27 @@ def sigmoid_model(lam, l_amp, lambda0, k, b):
     return l_amp / (1.0 + np.exp(u)) + b
 
 
+def sigmoid_jacobian(lam, l_amp, lambda0, k, b):
+    """Derivatives of ``sigmoid_model`` wrt (L, lambda0, k, b), an (n, 4) array.
+
+    With d = lambda - lambda0, e = exp(-k d) and s = 1 / (1 + e) they are s,
+    -k L s^2 e, d L s^2 e and 1.  Where -k d lies beyond the model's +-700
+    clip the model does not move with lambda0 or k, so those columns are 0
+    there; s^2 e underflows to 0 rather than overflowing.
+    """
+    d = np.asarray(lam, dtype=float) - lambda0
+    u = -k * d
+    e = np.exp(np.clip(u, -700, 700))
+    s = 1.0 / (1.0 + e)
+    slope = np.where(np.abs(u) < 700, l_amp * s * s * e, 0.0)
+    jac = np.empty((len(d), 4))
+    jac[:, 0] = s
+    jac[:, 1] = -k * slope
+    jac[:, 2] = d * slope
+    jac[:, 3] = 1.0
+    return jac
+
+
 FIT_SPACES = ("log", "linear", "inverse")
 
 
@@ -593,10 +631,15 @@ def fit_sigmoid(wavelengths, lifetimes, lifetime_errors=None,
             m = sigmoid_model(lam_, l_amp, lambda0, k, b)
             with np.errstate(invalid="ignore", divide="ignore"):
                 return np.where(m > 0, np.log(np.where(m > 0, m, 1.0)), -np.inf)
+
+        def fit_jacobian(lam_, *theta):
+            # d log m = dm / m; rows where m <= 0 are NaN, as log m is not defined there
+            m = sigmoid_model(lam_, *theta)
+            return sigmoid_jacobian(lam_, *theta) / np.where(m > 0, m, np.nan)[:, None]
     else:
         y_fit = y
         sigma_fit = sigma
-        fit_model = sigmoid_model
+        fit_model, fit_jacobian = sigmoid_model, sigmoid_jacobian
     weights = 1.0 / sigma_fit**2 if sigma_fit is not None else None
 
     if np.ptp(y) == 0.0:
@@ -640,7 +683,8 @@ def fit_sigmoid(wavelengths, lifetimes, lifetime_errors=None,
         k0 = sign * 4.0 * abs(slope_scale) / max(abs(l0), 1e-300)
 
     result = nls_fit(fit_model, lam, y_fit, (l0, crossing, k0, b0),
-                     param_names=("L", "lambda0", "k", "b"), weights=weights)
+                     param_names=("L", "lambda0", "k", "b"), weights=weights,
+                     jacobian=fit_jacobian)
     lambda0 = result.parameters["lambda0"]
     k = result.parameters["k"]
     span = float(np.ptp(lam))

@@ -176,12 +176,23 @@ def test_criterion_10_determinism(figure, tmp_path):
     report(f"10 PASS: reproduce {figure} is byte-identical across reruns")
 
 
+def failed_checks_at_seeds(figure, tmp_path, seeds=range(1, 21)):
+    return [(seed, c.line()) for seed in seeds
+            for c in reproduce(figure, str(tmp_path / str(seed)), seed=seed).checks
+            if c.status == "FAIL"]
+
+
 @pytest.mark.parametrize("figure", ["fig5", "fig7", "fig8"])
 def test_survival_figures_pass_at_other_seeds(figure, tmp_path):
     """Every pinned check of the survival figures holds at scenario seeds
     1-20 too, so a change cannot pass at the default seed alone."""
-    failed = [(seed, c.line()) for seed in range(1, 21)
-              for c in reproduce(figure, str(tmp_path / str(seed)), seed=seed).checks
-              if c.status == "FAIL"]
-    assert not failed
+    assert not failed_checks_at_seeds(figure, tmp_path)
+    report(f"{figure} PASS: every pinned check at scenario seeds 1-20")
+
+
+@pytest.mark.parametrize("figure", ["fig12", "picker"])
+def test_pulsed_figures_pass_at_other_seeds(figure, tmp_path):
+    """Every pinned check of the pulse-picker figures holds at scenario seeds
+    1-20 too."""
+    assert not failed_checks_at_seeds(figure, tmp_path)
     report(f"{figure} PASS: every pinned check at scenario seeds 1-20")

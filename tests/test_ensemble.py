@@ -1,8 +1,14 @@
 """Survival ensembles and the lifetime sweeps."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_fitters import frame_units
 
+from ndtrap import ensemble
 from ndtrap.core import Particle, TrapConfig, UVSource
 from ndtrap.ensemble import (SurvivalCurve, envelope_charge_sampler,
                              exponential_survival_curve, fixed_charge_sampler,
@@ -308,6 +314,42 @@ def test_survival_curve_counts_match_sorted_deaths():
     curve = _survival_curve(deaths, 50.0, 10.0, 0.0)
     expected = len(deaths) - np.searchsorted(np.sort(deaths), curve.times, side="right")
     assert curve.n_alive.tolist() == expected.tolist()
+
+
+def runs_by_unique_counts(deaths, times):
+    """_survival_curve's counts and carried runs from np.unique with counts,
+    the formulation it had before it took its runs from one sort."""
+    n0 = len(deaths)
+    frames, deaths_at = np.unique(np.searchsorted(times, deaths), return_counts=True)
+    values = np.concatenate(([n0], n0 - np.cumsum(deaths_at)))
+    edges = np.concatenate(([0], frames, [len(times)]))
+    lengths = np.diff(edges)
+    held = lengths > 0
+    return np.repeat(values, lengths), edges[:-1][held], values[held]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(frame_rate=st.sampled_from([0.5, 2.0, 10.0, 100.0]),
+       frames=st.integers(1, 400),
+       part=st.sampled_from([0.0, 0.25]),
+       deaths=st.lists(st.tuples(st.sampled_from(["on", "between", "after", "inf"]),
+                                 st.integers(0, 400)), min_size=1, max_size=60))
+@example(frame_rate=10.0, frames=5, part=0.0, deaths=[("on", 4)])            # n0 = 1
+@example(frame_rate=10.0, frames=5, part=0.0, deaths=[("after", 0)])
+@example(frame_rate=2.0, frames=6, part=0.25,
+         deaths=[("on", 2), ("between", 2), ("on", 2), ("on", 6), ("inf", 0), ("after", 0),
+                 ("between", 5), ("between", 5), ("after", 0)])
+def test_survival_curve_runs_match_unique_counts(frame_rate, frames, part, deaths):
+    # deaths on frame times (the last one too), between frames, past the last
+    # frame and never, with ties: the counts and carried runs are bit for bit,
+    # dtypes included, those np.unique with counts gives
+    times = np.array([math.inf if kind == "inf" else
+                      frame_units(kind, 1 + k % frames, frames) / frame_rate
+                      for kind, k in deaths])
+    curve = ensemble._survival_curve(times, (frames + part) / frame_rate, frame_rate, 0.0)
+    expected = runs_by_unique_counts(times, curve.times)
+    for got, want in zip((curve.n_alive,) + curve.runs[:2], expected):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_curves_of_one_run_length_share_read_only_times():

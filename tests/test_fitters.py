@@ -92,6 +92,18 @@ def test_nls_never_converges_to_nan(model, data, p0):
         assert all(math.isfinite(v) for v in res.parameters.values())
 
 
+def central_jacobian(model, x, theta, rel=1e-6):
+    """Central differences of model(x, *theta) wrt theta, steps rel max(|theta|, 1)."""
+    h = rel * np.maximum(np.abs(theta), 1.0)
+    ctr = np.empty((len(x), len(theta)))
+    for j in range(len(theta)):
+        tp, tm = theta.copy(), theta.copy()
+        tp[j] += h[j]
+        tm[j] -= h[j]
+        ctr[:, j] = (np.asarray(model(x, *tp)) - np.asarray(model(x, *tm))) / (2 * h[j])
+    return ctr
+
+
 def test_fd_jacobian_forward_vs_central():
     # forward differences (used by the solver) against central differences
     rng = np.random.default_rng(3)
@@ -105,15 +117,73 @@ def test_fd_jacobian_forward_vs_central():
         for _ in range(4):
             theta = np.array(theta0) * (1 + 0.1 * rng.standard_normal(len(theta0)))
             fwd = _fd_jacobian(model, x, theta)
-            h = 1e-6 * np.maximum(np.abs(theta), 1.0)
-            ctr = np.empty_like(fwd)
-            for j in range(len(theta)):
-                tp, tm = theta.copy(), theta.copy()
-                tp[j] += h[j]
-                tm[j] -= h[j]
-                ctr[:, j] = (np.asarray(model(x, *tp)) - np.asarray(model(x, *tm))) / (2 * h[j])
+            ctr = central_jacobian(model, x, theta)
             scale = np.max(np.abs(ctr))
             assert np.max(np.abs(fwd - ctr)) <= 1e-5 * scale
+
+
+def sigmoid_fit_functions(fit_space):
+    """The (model, jacobian) pair fit_sigmoid hands nls_fit in one fit space."""
+    seen = []
+
+    def spy(model, *args, jacobian=None, **kwargs):
+        seen.append((model, jacobian))
+        return nls_fit(model, *args, jacobian=jacobian, **kwargs)
+    lam = np.linspace(255.0, 320.0, 14)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitters, "nls_fit", spy)
+        fit_sigmoid(lam, 1.0 / sigmoid_model(lam, 0.02, 280.0, -0.44, 1e-4), fit_space=fit_space)
+    assert len(seen) == 1 and seen[0][1] is not None
+    return seen[0]
+
+
+@pytest.mark.parametrize("fit_space", fitters.FIT_SPACES)
+def test_sigmoid_jacobian_vs_central(fit_space):
+    # the analytic Jacobian fit_sigmoid passes (sigmoid_jacobian, and J / m
+    # in log space) against central differences of the model it fits,
+    # including slopes that push -k (lambda - lambda0) past the +-700 clip
+    model, jacobian = sigmoid_fit_functions(fit_space)
+    lam = np.linspace(250.0, 330.0, 41)
+    rng = np.random.default_rng(5)
+    cases = [(0.02, 280.0, -0.44, 1e-4), (5000.0, 280.0, 0.44, 3.0), (2.0, 290.0, -0.05, 0.3),
+             (1.0, 285.0, 17.5, 0.5), (1.0, 292.0, -30.0, 0.5), (1.0, 281.0, 60.0, 0.5)]
+    rel = 1e-8   # steps short enough that steep slopes keep their curvature error small
+    for theta0 in cases:
+        for _ in range(3):
+            theta = np.array(theta0) * (1 + 0.01 * rng.standard_normal(4))
+            jac = np.asarray(jacobian(lam, *theta))
+            assert jac.shape == (len(lam), 4) and np.isfinite(jac).all()
+            ctr = central_jacobian(model, lam, theta, rel)
+            # central steps move -k (lambda - lambda0) by about rel (|k| |lambda0| + |d|):
+            # rows that close to the clip are left out, rows past it must read 0
+            u = -theta[2] * (lam - theta[1])
+            step = rel * (abs(theta[2]) * abs(theta[1]) + np.abs(lam - theta[1]))
+            near = np.abs(np.abs(u) - 700.0) <= 2.0 * step
+            clipped = (np.abs(u) > 700.0) & ~near
+            if abs(theta0[2]) > 10:
+                assert clipped.any() and not clipped.all()
+            assert (jac[clipped, 1:3] == 0.0).all()
+            # each entry within 1e-6, plus the central differences' rounding eps |model| / step
+            rounding = 8 * np.finfo(float).eps * np.max(np.abs(model(lam, *theta))) / (
+                rel * np.maximum(np.abs(theta), 1.0))
+            assert (np.abs(jac - ctr)[~near] <= (1e-6 * np.abs(ctr) + rounding)[~near]).all(), \
+                theta
+
+
+def test_log_space_jacobian_not_finite_where_the_model_is_not_positive():
+    # log m is not defined where m <= 0: there the analytic rows are not
+    # finite, as forward differences of the model's -inf are not
+    model, jacobian = sigmoid_fit_functions("log")
+    lam = np.linspace(250.0, 330.0, 41)
+    theta = np.array([1.0, 290.0, 0.3, -0.5])
+    m = sigmoid_model(lam, *theta)
+    assert (m > 0).any() and (m <= 0).any()
+    jac = np.asarray(jacobian(lam, *theta))
+    assert not np.isfinite(jac[m <= 0]).any(axis=1).any()
+    assert np.isfinite(jac[m > 0]).all()
+    with np.errstate(invalid="ignore"):
+        fwd = _fd_jacobian(model, lam, theta)
+    assert not np.isfinite(fwd[m <= 0]).all(axis=1).any()
 
 
 def test_covariance_symmetric_psd():
@@ -546,6 +616,69 @@ def test_fit_sigmoid_one_sided_flagged():
     res = fit_sigmoid(lam, tau, fit_space="log")
     assert (not res.converged) or ("poorly_constrained" in res.flags) \
         or res.errors["lambda0"] > 5.0
+
+
+def forward_difference_fit(lam, tau, err, fit_space):
+    """fit_sigmoid with nls_fit's forward differences in place of the analytic
+    Jacobian: the same start, model, weights and loop."""
+    original = fitters.nls_fit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitters, "nls_fit", lambda *args, jacobian=None, **kwargs:
+                   original(*args, **kwargs))
+        return fit_sigmoid(lam, tau, err, fit_space=fit_space)
+
+
+def determined(res):
+    """A converged, unflagged fit whose every parameter has a finite, positive error."""
+    return res.converged and not res.flags and all(0 < e < math.inf for e in res.errors.values())
+
+
+def assert_same_sigmoid_fit(res, ref):
+    # both reach one objective value; where either fit is determined by the
+    # data, they also agree in parameters, convergence and flags
+    assert res.residual_norm == pytest.approx(ref.residual_norm, rel=1e-6)
+    if determined(res) or determined(ref):
+        assert res.converged == ref.converged and res.flags == ref.flags
+        for name in res.param_names:
+            assert res[name] == pytest.approx(ref[name], rel=1e-6), name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fit_space=st.sampled_from(fitters.FIT_SPACES), n=st.integers(8, 20),
+       lo=st.floats(240.0, 260.0), hi=st.floats(300.0, 330.0), center=st.floats(0.2, 0.8),
+       width=st.floats(4.0, 25.0), rising=st.booleans(), ratio=st.floats(10.0, 1000.0),
+       scale=st.sampled_from([1e-4, 1.0, 1e3]), noise=st.sampled_from([0.0, 0.01, 0.05]),
+       seed=st.integers(0, 2**16))
+# a 4 nm step between grid points 8.6-10.4 nm apart: the data do not place it, and
+# the two fits stop at different lambda0 and k on one flat valley of the objective
+@example(fit_space="log", n=8, lo=240.0, hi=313.0, center=0.21875, width=4.0, rising=False,
+         ratio=10.0, scale=1e-4, noise=0.01, seed=6)
+@example(fit_space="log", n=8, lo=240.0, hi=300.0, center=0.25, width=4.0, rising=False,
+         ratio=10.0, scale=1e-4, noise=0.01, seed=1)
+def test_fit_sigmoid_analytic_jacobian_agrees_with_forward_differences(
+        fit_space, n, lo, hi, center, width, rising, ratio, scale, noise, seed):
+    # exact or noisy four-parameter sigmoid data in the fitted quantity (the
+    # rate 1/tau in inverse space): the fit on the analytic Jacobian lands
+    # where forward differences do from the same start, within 1e-6, with the
+    # same converged value and flags
+    lam = np.linspace(lo, hi, n)
+    k = (1.0 if rising else -1.0) * 2.0 * math.log(9.0) / width
+    y = scale * sigmoid_model(lam, ratio, lo + center * (hi - lo), k, 1.0)
+    y *= np.exp(noise * np.random.default_rng(seed).standard_normal(n))
+    tau = 1.0 / y if fit_space == "inverse" else y
+    err = noise * tau if noise else None
+    assert_same_sigmoid_fit(fit_sigmoid(lam, tau, err, fit_space=fit_space),
+                            forward_difference_fit(lam, tau, err, fit_space))
+
+
+def test_fig7_sweep_fits_agree_with_forward_differences():
+    # the closing inverse-space fit of the fig7 sweep at scenario seeds 1-20
+    base = load_bundled_scenario("fig7_sweep")
+    for seed in range(1, 21):
+        good = [p for p in run_sweep_scenario(base.with_seed(seed)) if not p.flags]
+        args = ([p.x for p in good], [p.lifetime for p in good], [p.lifetime_error for p in good])
+        assert_same_sigmoid_fit(fit_sigmoid(*args, fit_space="inverse"),
+                                forward_difference_fit(*args, "inverse"))
 
 
 # ---------------------------------------------------------- fit_powerlaw
