@@ -629,8 +629,9 @@ def forward_difference_fit(lam, tau, err, fit_space):
 
 
 def determined(res):
-    """A converged, unflagged fit whose every parameter has a finite, positive error."""
-    return res.converged and not res.flags and all(0 < e < math.inf for e in res.errors.values())
+    """A converged, unflagged fit whose covariance has a finite, non-negative diagonal."""
+    var = np.diag(res.covariance)
+    return res.converged and not res.flags and bool(np.all(np.isfinite(var) & (var >= 0)))
 
 
 def assert_same_sigmoid_fit(res, ref):
