@@ -22,6 +22,7 @@ from .core import Particle, TrapConfig, UVSource, charge_envelope
 from .fitters import FitError, _time_steps, fit_exponential
 # unused here; perfbench/tracer.py wraps this module's simulate_charge_trajectory
 from .photoemission import EmissionModel, emission_rate, simulate_charge_trajectory  # noqa: F401
+from .trap import period_map_radius, stability_parameter
 
 DEFAULT_FRAME_RATE = 10.0  # Hz, CCD-video style sampling
 
@@ -70,7 +71,6 @@ class SurvivalCurve:
 
 def stable_charge_range(particle_template: Particle, trap: TrapConfig) -> tuple:
     """(min, max) |charge_count| keeping this particle inside the trap band."""
-    from .trap import stability_parameter
     q_per_e = stability_parameter(particle_template.with_charge(1), trap)
     q_min, q_max = trap.stability_band
     lo = math.ceil(q_min / q_per_e - 1e-9)
@@ -149,7 +149,6 @@ def integrated_escape_check(particle: Particle, trap: TrapConfig) -> bool:
     algebraic band check at the upper edge only: the lower edge (q ~ 0.1)
     models confinement limits that the ideal single-axis motion lacks.
     """
-    from .trap import period_map_radius, stability_parameter
     return not period_map_radius(stability_parameter(particle, trap)) <= 1.0
 
 

@@ -96,6 +96,10 @@ def nls_fit(model: Callable, x, y, p0: Sequence[float],
     ``jacobian``, called like ``model``, returns the (n, p) derivatives of
     the model wrt theta; without it they are forward finite differences
     (``_fd_jacobian``), p extra model calls per iteration.
+
+    A normal matrix that cannot be inverted, or whose inverse has a negative
+    diagonal, is flagged ``singular_covariance``; a parameter with a
+    negative variance gets an error of inf, not 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -187,8 +191,11 @@ def nls_fit(model: Callable, x, y, p0: Sequence[float],
         cov_unit = np.linalg.pinv(a)
         flags.append("singular_covariance")
     cov = cov_unit * sigma2 if math.isfinite(sigma2) else np.zeros_like(cov_unit)
-    err = {name: float(math.sqrt(max(cov[i, i], 0.0))) if math.isfinite(sigma2) else 0.0
-           for i, name in enumerate(param_names)}
+    var = np.diag(cov).tolist()
+    if not all(v >= 0.0 for v in var):
+        flags.append("singular_covariance")
+    err = {name: math.sqrt(v) if v >= 0.0 else math.inf
+           for name, v in zip(param_names, var)}
     return FitResult(param_names=param_names,
                      parameters={name: float(theta[i]) for i, name in enumerate(param_names)},
                      errors=err, covariance=cov, residual_norm=ssr,

@@ -122,8 +122,10 @@ def _integrate_linear_oscillator(stiffness_table, dt, n_steps, damping,
     that period (a constant stiffness is passed as one period of constant
     entries).  With thermal kicks (``kick_sigma > 0``) the motion is stepped
     one RK4 step at a time.  Without them RK4 on this linear equation is a
-    fixed 2x2 matrix per step, repeating every period, so the motion is
-    advanced by the period map; see ``_advance_by_period_map``.  Either way
+    fixed 2x2 matrix per step, repeating every period: one period's step
+    matrices are built as one (2, 2, n) stack (``_step_matrices``) and
+    scanned into their running products, and the motion is advanced by the
+    period map; see ``_advance_by_period_map``.  Either way
     every step is tested for escape: |x| beyond ``escape_radius``, or not
     finite, which is where an unbounded motion overflows when no radius is
     given.  Returns (positions, lost, escape_step, final_state); positions
@@ -176,41 +178,71 @@ def _integrate_linear_oscillator(stiffness_table, dt, n_steps, damping,
     return np.asarray(out), False, -1, (x, v)
 
 
-def _period_products(stiffness_table, dt, damping):
-    """Running products Phi_j = S_j ... S_1 (j = 1 .. steps_per_period) of
-    the RK4 step matrices over one period of the table, as four arrays of
-    entries (p00, p01, p10, p11); the last Phi is the period map M.
+def _step_matrices(stiffness_table, dt, damping):
+    """The RK4 step matrices S_j (j = 1 .. steps_per_period) over one period
+    of the table, stacked as one (2, 2, n) array S[row, column, j].
 
-    Column c of S_j is one RK4 step from the unit state e_c.  Everything is
-    elementwise arithmetic, so the result does not depend on a BLAS build.
+    Column c of S_j is one RK4 step from the unit state e_c; both columns
+    step together as a (2, 1) broadcast against the n half-step entries.
+    Everything is elementwise arithmetic, so the result does not depend on
+    a BLAS build.
     """
     k = np.asarray(stiffness_table, dtype=float)
     s0, s1 = k[0::2], k[1::2]
-    s2 = np.roll(s0, -1)
+    s2 = np.concatenate((s0[1:], s0[:1]))
     g = float(damping)
-    cols = []
-    for x, v in ((1.0, 0.0), (0.0, 1.0)):
-        k1x, k1v = v, -s0 * x - g * v
-        x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
-        k2x, k2v = v2, -s1 * x2 - g * v2
-        x3, v3 = x + 0.5 * dt * k2x, v + 0.5 * dt * k2v
-        k3x, k3v = v3, -s1 * x3 - g * v3
-        x4, v4 = x + dt * k3x, v + dt * k3v
-        k4x, k4v = v4, -s2 * x4 - g * v4
-        cols.append((x + dt / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
+    x, v = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    k1x, k1v = v, -s0 * x - g * v
+    x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
+    k2x, k2v = v2, -s1 * x2 - g * v2
+    x3, v3 = x + 0.5 * dt * k2x, v + 0.5 * dt * k2v
+    k3x, k3v = v3, -s1 * x3 - g * v3
+    x4, v4 = x + dt * k3x, v + dt * k3v
+    k4x, k4v = v4, -s2 * x4 - g * v4
+    return np.stack((x + dt / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
                      v + dt / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v)))
-    (p00, p10), (p01, p11) = cols
-    # inclusive prefix product, later steps on the left, in log2(n) rounds
-    n = len(s0)
+
+
+def _compose(a, b, out=None):
+    """Entrywise 2x2 products a_j b_j of two (2, 2, m) stacks, each entry
+    summed as a[i, 0] b[0, j] + a[i, 1] b[1, j]."""
+    t = a[:, :, None] * b[None]
+    return np.add(t[:, 0], t[:, 1], out=out)
+
+
+def _period_products(stiffness_table, dt, damping):
+    """Running products Phi_j = S_j ... S_1 (j = 1 .. steps_per_period) of
+    the RK4 step matrices over one period of the table, as the four entry
+    views (p00, p01, p10, p11) of one (2, 2, n) stack; the last Phi is the
+    period map M.
+
+    The stack from ``_step_matrices`` is scanned in place, later steps on
+    the left, in log2(n) rounds of one broadcast product each.
+    """
+    p = _step_matrices(stiffness_table, dt, damping)
+    n = p.shape[-1]
     shift = 1
     while shift < n:
-        a00, a01, a10, a11 = p00[shift:], p01[shift:], p10[shift:], p11[shift:]
-        b00, b01, b10, b11 = p00[:-shift], p01[:-shift], p10[:-shift], p11[:-shift]
-        p00[shift:], p01[shift:], p10[shift:], p11[shift:] = (
-            a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+        _compose(p[..., shift:], p[..., :-shift], out=p[..., shift:])
         shift *= 2
-    return p00, p01, p10, p11
+    return p[0, 0], p[0, 1], p[1, 0], p[1, 1]
+
+
+def _period_map(stiffness_table, dt, damping):
+    """The period map M = S_n ... S_1 as Python floats (m00, m01, m10, m11).
+
+    Adjacent products are taken pairwise, ``p[..., 1::2]`` times
+    ``p[..., 0::2]``, until one is left.  For n a power of two this is the
+    grouping of the last element of ``_period_products``, so M is the same
+    bit for bit; any other n raises ValueError.
+    """
+    p = _step_matrices(stiffness_table, dt, damping)
+    n = p.shape[-1]
+    if n & (n - 1):
+        raise ValueError(f"the pairwise period map needs a power-of-two step count, not {n}")
+    while p.shape[-1] > 1:
+        p = _compose(p[..., 1::2], p[..., 0::2])
+    return tuple(p.ravel().tolist())
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -346,18 +378,21 @@ def period_map_radius(q: float) -> float:
     """Spectral radius of the undamped RK4 period map M at q, 256 steps per
     drive period: the largest growth per period of any motion.
 
-    The motion is bounded iff the radius is <= 1.  A map that overflows
-    gives NaN, so callers test ``not radius <= 1.0`` to read it as unstable.
+    The motion is bounded iff the radius is <= 1.  M comes from pairwise
+    products (``_period_map``), the same bits as the last per-step product.
+    A map that overflows gives NaN (a non-finite or negative det) or inf,
+    with no warning, so callers test ``not radius <= 1.0`` to read it as
+    unstable.
     """
     n = 256
-    p00, p01, p10, p11 = _period_products(
+    m00, m01, m10, m11 = _period_map(
         _mathieu_stiffness_table(q, 2.0 * math.pi, n), 1.0 / n, 0.0)
-    half_tr = 0.5 * (p00[-1] + p11[-1])
-    det = p00[-1] * p11[-1] - p01[-1] * p10[-1]
+    half_tr = 0.5 * (m00 + m11)
+    det = m00 * m11 - m01 * m10
     disc = half_tr * half_tr - det
     if disc >= 0.0:
-        return float(abs(half_tr) + np.sqrt(disc))
-    return float(np.sqrt(det))
+        return abs(half_tr) + math.sqrt(disc)
+    return math.sqrt(det) if det >= 0.0 else math.nan
 
 
 def find_mathieu_boundary() -> float:

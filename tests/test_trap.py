@@ -7,11 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndtrap.core import Particle, TrapConfig
 from ndtrap.signal import estimate_secular_frequency
 from ndtrap.trap import (MotionTrace, ParticleLost, _integrate_linear_oscillator,
-                         _mathieu_stiffness_table, _period_products,
+                         _mathieu_stiffness_table, _period_map,
+                         _period_products, _step_matrices,
                          damping_rate, find_mathieu_boundary,
                          integrate_mathieu, integrate_motion, is_stable,
                          period_map_radius, secular_frequency,
@@ -306,6 +309,55 @@ def test_period_map_radius_matches_stepwise_growth(q):
     assert not lost
     growth = (abs(xs[60 * n]) / abs(xs[40 * n])) ** (1.0 / 20.0)
     assert growth == pytest.approx(period_map_radius(q), rel=1e-9)
+
+
+def bits(values):
+    """The IEEE-754 bit patterns of float values, so -0.0 != 0.0."""
+    return np.asarray(values, dtype="<f8").view("<u8").tolist()
+
+
+@pytest.mark.parametrize("damping", [0.0, 23.0])
+def test_step_matrices_are_one_reference_step(damping):
+    # column c of S_j is one stepwise RK4 step from e_c, started at step j
+    # of the table, bit for bit
+    n = 256
+    tab = _mathieu_stiffness_table(0.7, 2.0 * math.pi, n)
+    s = _step_matrices(tab, 1.0 / n, damping)
+    assert s.shape == (2, 2, n)
+    for j in range(n):
+        rolled = np.roll(tab, -2 * j)
+        for c, (x0, v0) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+            _, _, _, final = rk4_reference(rolled, 1.0 / n, 1, damping, x0, v0)
+            assert bits(s[:, c, j]) == bits(final)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 1.3), damping=st.sampled_from([0.0, 23.0]))
+def test_pairwise_period_map_is_last_prefix(q, damping):
+    # for a power-of-two step count the pairwise products group the steps
+    # exactly as the prefix scan's last element does
+    n = 256
+    tab = _mathieu_stiffness_table(q, 2.0 * math.pi, n)
+    last = [p[-1] for p in _period_products(tab, 1.0 / n, damping)]
+    assert bits(_period_map(tab, 1.0 / n, damping)) == bits(last)
+
+
+def test_pairwise_period_map_needs_power_of_two():
+    tab = _mathieu_stiffness_table(0.5, 2.0 * math.pi, 200)
+    with pytest.raises(ValueError, match="power-of-two"):
+        _period_map(tab, 1.0 / 200, 0.0)
+
+
+@pytest.mark.parametrize("q, radius_hex", [
+    (0.3, "0x1.fffffffff8cb0p-1"),
+    (0.7, "0x1.ffffffffd8bebp-1"),
+    (0.9, "0x1.ffffffffbf1cfp-1"),
+    (0.923, "0x1.6ea9e1bfa7db0p+0"),
+    (1.15, "0x1.06c060f6390f8p+2"),
+])
+def test_period_map_radius_pinned(q, radius_hex):
+    # the radii of the per-step prefix scan, kept bit for bit
+    assert period_map_radius(q).hex() == radius_hex
 
 
 def test_period_map_radius_stable_and_overflow():
