@@ -27,7 +27,8 @@ from .signal import FrequencyTrace
 MAX_ITERATIONS = 200
 CONVERGENCE_TOL = 1e-10
 _LM_DAMPING_INIT = 1e-3
-_FD_STEP = math.sqrt(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_FD_STEP = math.sqrt(_EPS)
 
 
 class FitError(ValueError):
@@ -803,38 +804,54 @@ def _lattice_objective(deltas: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.n
     out = np.empty(len(deltas))
     for i in range(0, len(deltas), rows):
         d = deltas[i:i + rows, None]
-        out[i:i + rows] = np.sum(w * (f - d * np.round(f / d))**2, axis=1)
+        out[i:i + rows] = (w * (f - d * np.rint(f / d))**2).sum(axis=1)
     return out
 
 
 def _lattice_minima(f: np.ndarray, w: np.ndarray, lo: float, hi: float):
-    """hi, the interior piece minima of the lattice objective, then lo.
+    """hi, the interior piece minima of the lattice objective, then lo; the
+    objective at each from its piece's sums; and the number of breakpoints.
 
     With a = |f|, the charges n_i = round(a_i/d) are fixed between the
-    breakpoints a_i / (k + 1/2), where the objective is quadratic in d with
-    its minimum at S1/S2, S1 = sum w a n, S2 = sum w n^2.  Sweeping d down
-    through a breakpoint moves n_i from k to k + 1, adding w_i a_i to S1 and
+    breakpoints a_i / (k + 1/2), where the objective
+    J(d) = sum w a^2 - d (2 S1 - d S2), S1 = sum w a n, S2 = sum w n^2, is
+    quadratic in d with its minimum at S1/S2.  Sweeping d down through a
+    breakpoint moves n_i from k to k + 1, adding w_i a_i to S1 and
     w_i (2k + 1) to S2.  The minima come out in descending order, as the
-    pieces are scanned from hi down.  Also returns the number of breakpoints.
+    pieces are scanned from hi down; hi takes the first piece's sums and lo
+    the last one's.  This J cancels down from sum w a^2, so it can differ
+    from ``_lattice_objective`` by a few ulp of sum w a^2 per breakpoint
+    summed (about 1e-12 of it in practice): it screens, it does not judge.
     """
     a = np.abs(f)
     k_first = np.floor(a / hi + 0.5)            # n_i just below hi
     counts = np.maximum(np.ceil(a / lo - 0.5) - k_first, 0).astype(np.int64)
-    owner = np.repeat(np.arange(len(a)), counts)
-    k = k_first[owner] + (np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts))
+    owner = np.arange(len(a)).repeat(counts)
+    k = k_first[owner] + (np.arange(len(owner)) - (counts.cumsum() - counts).repeat(counts))
     breaks = a[owner] / (k + 0.5)
-    order = np.argsort(-breaks, kind="stable")
-    s1 = np.cumsum(np.concatenate(([np.sum(w * a * k_first)], (w * a)[owner][order])))
-    s2 = np.cumsum(np.concatenate(([np.sum(w * k_first**2)], (w[owner] * (2 * k + 1))[order])))
+    order = (-breaks).argsort(kind="stable")
+    owner, k = owner[order], k[order]
+    wa = w * a
+    sums = np.empty((2, len(owner) + 1))
+    sums[:, 0] = (wa * k_first).sum(), (w * k_first**2).sum()
+    sums[0, 1:] = wa[owner]
+    sums[1, 1:] = w[owner] * (2 * k + 1)
+    s1, s2 = sums.cumsum(axis=1)
     edges = np.concatenate(([hi], breaks[order], [lo]))
     with np.errstate(divide="ignore", invalid="ignore"):
         d_star = s1 / s2
     inside = (d_star < edges[:-1]) & (d_star > edges[1:])
-    return np.concatenate(([hi], d_star[inside], [lo])), len(owner)
+    at = np.concatenate(([0], inside.nonzero()[0], [len(owner)]))
+    deltas = d_star[at]
+    deltas[0], deltas[-1] = hi, lo
+    return deltas, (wa * a).sum() - deltas * (2 * s1[at] - deltas * s2[at]), len(owner)
 
 
 LATTICE_DETECTION_RATIO = 0.5  # best fit must beat uniform rounding by this factor
 LATTICE_MIN_POINTS = 5
+# screening margin of the closed-form minima, of sum w f^2: about 1e3 times
+# their usual error; the fit raises it to cover the worst-case cumsum error
+LATTICE_SCREEN_MARGIN = 1e-9
 
 
 def fit_charge_lattice(trace: FrequencyTrace, delta_f_range: tuple) -> FitResult:
@@ -849,6 +866,10 @@ def fit_charge_lattice(trace: FrequencyTrace, delta_f_range: tuple) -> FitResult
     reports the lowest tolerated minimum reachable from there through
     neighbours whose charges differ by at most one at every point: narrow
     neighbour minima flip single charges, a subharmonic doubles them.
+    The scan's closed-form objective screens the minima with a margin far
+    above its rounding error; only the few that pass are evaluated directly
+    by ``_lattice_objective``, and the tolerance, chain and best rules read
+    those direct values alone.
     Raises LatticeNotDetectedError when the best candidate does not beat the
     uniform-rounding baseline delta_f^2/12 by LATTICE_DETECTION_RATIO.
     """
@@ -861,40 +882,46 @@ def fit_charge_lattice(trace: FrequencyTrace, delta_f_range: tuple) -> FitResult
         raise DegenerateFitError(
             f"insufficient data: {n} points, need >= {LATTICE_MIN_POINTS}")
     err = np.asarray(trace.errors, dtype=float)
-    w = 1.0 / err**2 if np.all(err > 0) else np.ones(n)
+    w = 1.0 / err**2 if (err > 0).all() else np.ones(n)
 
-    if float(np.max(f)) <= 0:
+    if float(f.max()) <= 0:
         raise DegenerateFitError("all frequencies are zero")
-    deltas, n_breaks = _lattice_minima(f, w, lo, hi)
-    obj = _lattice_objective(deltas, f, w)
+    deltas, scores, n_breaks = _lattice_minima(f, w, lo, hi)
 
     dof = max(n - 1, 1)
-    sum_wff = float(np.sum(w * f * f))
-    within = np.flatnonzero(obj <= obj.min() * (1.0 + 2.0 / math.sqrt(dof)) + 1e-12 * sum_wff)
+    sum_wff = float((w * f * f).sum())
+    slack = 1.0 + 2.0 / math.sqrt(dof)
+    floor = 1e-12 * sum_wff
+    margin = max(LATTICE_SCREEN_MARGIN, 8 * n_breaks * _EPS) * slack * sum_wff
+    deltas = deltas[scores <= scores.min() * slack + floor + margin]
+    obj = _lattice_objective(deltas, f, w)
+    within = obj <= obj.min() * slack + floor
+    deltas, obj = deltas[within], obj[within]
     # deltas descend and charges only grow as delta_f falls, so the minima
     # reachable from the largest by steps moving no charge by more than one
     # form a prefix of the tolerated ones
-    jumps = np.abs(np.diff(np.round(f / deltas[within, None]), axis=0)).max(axis=1) > 1
-    chain = within[:1 + int(np.argmax(np.append(jumps, True)))]
-    best = chain[np.argmin(obj[chain])]
+    rounded = np.rint(f / deltas[:, None])
+    jumps = (np.abs(rounded[1:] - rounded[:-1]) > 1).any(axis=1)
+    chain = int(jumps.argmax()) + 1 if jumps.any() else len(obj)
+    best = int(obj[:chain].argmin())
     best_delta, best_j = float(deltas[best]), float(obj[best])
 
-    baseline = (best_delta**2 / 12.0) * float(np.sum(w))
+    baseline = (best_delta**2 / 12.0) * float(w.sum())
     if best_j > LATTICE_DETECTION_RATIO * baseline and sum_wff > 0:
         raise LatticeNotDetectedError(
             f"no lattice in range: best objective {best_j:.3g} vs uniform baseline {baseline:.3g}")
 
-    charges = np.round(f / best_delta).astype(int)
+    charges = rounded[best].astype(int)
     sigma2 = best_j / dof
-    denom = float(np.sum(w * charges.astype(float) ** 2))
+    denom = float((w * charges.astype(float) ** 2).sum())
     delta_err = math.sqrt(sigma2 / denom) if denom > 0 else math.inf
-    steps = np.diff(charges)
+    sequence = charges.tolist()
     return FitResult(param_names=("delta_f",),
-                     parameters={"delta_f": float(best_delta)},
+                     parameters={"delta_f": best_delta},
                      errors={"delta_f": float(delta_err)},
                      covariance=np.array([[delta_err**2]]),
-                     residual_norm=float(best_j), iterations=n_breaks,
+                     residual_norm=best_j, iterations=n_breaks,
                      converged=True, dof=dof,
-                     derived={"charge_sequence": tuple(int(c) for c in charges),
-                              "charge_steps": tuple(int(s) for s in steps),
-                              "initial_charge": int(charges[0]) if n else 0})
+                     derived={"charge_sequence": tuple(sequence),
+                              "charge_steps": tuple((charges[1:] - charges[:-1]).tolist()),
+                              "initial_charge": sequence[0]})

@@ -224,9 +224,10 @@ def _pulse_windows(train: PulseTrain, phases: np.ndarray):
     last = np.floor((t1 - laser_phase * t_rep) / t_rep) - n_lo
     j = np.arange(int(last.max(initial=-1.0)) + 1)
     t = (n_lo + j + laser_phase) * t_rep
-    # np.remainder takes the sign of the divisor, as Python's float % does
-    passed = ((j <= last) & (t0 <= t) & (t < t1)
-              & ((t / t_chop - chopper_phase) % 1.0 < train.chopper_duty))
+    # x - floor(x) rounds the same exact value once, as x % 1.0 does (whose
+    # result takes the divisor's sign, like Python's float %), but cheaper
+    x = t / t_chop - chopper_phase
+    passed = (j <= last) & (t0 <= t) & (t < t1) & (x - np.floor(x) < train.chopper_duty)
     return t, passed
 
 

@@ -42,11 +42,11 @@ class FrequencyTrace:
         s = np.asarray(self.errors, dtype=float)
         if not (len(e) == len(f) == len(s)):
             raise ValueError("exposures, frequencies and errors must have equal length")
-        if len(e) and np.any(np.diff(e) < 0):
+        if (e[1:] < e[:-1]).any():
             raise ValueError("exposures must be non-decreasing")
-        if np.any(f < 0):
+        if (f < 0).any():
             raise ValueError("frequencies must be >= 0")
-        if np.any(s < 0):
+        if (s < 0).any():
             raise ValueError("frequency errors must be >= 0")
         if self.exposure_unit not in EXPOSURE_UNITS:
             raise ValueError(f"exposure_unit must be one of {EXPOSURE_UNITS}")

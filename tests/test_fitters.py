@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ndtrap import ensemble, fitters
 from ndtrap.ensemble import exponential_survival_curve
-from ndtrap.fitters import (DegenerateFitError, LatticeNotDetectedError,
+from ndtrap.fitters import (DegenerateFitError, FitError, LatticeNotDetectedError,
                             _fd_jacobian, _lattice_objective,
                             _lattice_minima, confidence_band,
                             exponential_model, fit_charge_lattice,
@@ -855,7 +855,7 @@ def test_lattice_neighbour_minimum_rule():
     charges = np.arange(30, 0, -1)
     trace = lattice_trace(charges, 76.4, 0.15 * 76.4, seed=6)
     f, w = trace.frequencies, 1.0 / trace.errors**2
-    deltas, _ = _lattice_minima(f, w, 55.0, 250.0)
+    deltas, _, _ = _lattice_minima(f, w, 55.0, 250.0)
     obj = _lattice_objective(deltas, f, w)
     tol = obj.min() * (1.0 + 2.0 / math.sqrt(len(f) - 1)) + 1e-12 * np.sum(w * f * f)
     largest = deltas[obj <= tol].max()
@@ -889,6 +889,114 @@ def test_lattice_property_minimum(delta_f, charges, noise, seed):
     slack = 1e-9 * float(np.sum(w * f * f))
     res = fit_charge_lattice(trace, (lo, hi))
     assert res.residual_norm <= _lattice_objective(np.array([delta_f]), f, w)[0] + slack
-    deltas, _ = _lattice_minima(f, w, lo, hi)
+    deltas, _, _ = _lattice_minima(f, w, lo, hi)
     grid = _lattice_objective(np.linspace(lo, hi, 20_001), f, w)
     assert _lattice_objective(deltas, f, w).min() <= grid.min() + slack
+
+
+def reference_lattice_fit(trace, delta_f_range):
+    """``fit_charge_lattice`` before the screen: the minima scan with one
+    cumsum per sum, every minimum evaluated directly by ``np.round``, the
+    charges rounded anew for the chain and again for the result."""
+    lo, hi = float(delta_f_range[0]), float(delta_f_range[1])
+    if not (0 < lo < hi):
+        raise ValueError(f"invalid delta_f range {delta_f_range}")
+    f = np.asarray(trace.frequencies, dtype=float)
+    n = len(f)
+    if n < fitters.LATTICE_MIN_POINTS:
+        raise DegenerateFitError(
+            f"insufficient data: {n} points, need >= {fitters.LATTICE_MIN_POINTS}")
+    err = np.asarray(trace.errors, dtype=float)
+    w = 1.0 / err**2 if np.all(err > 0) else np.ones(n)
+    if float(np.max(f)) <= 0:
+        raise DegenerateFitError("all frequencies are zero")
+    a = np.abs(f)
+    k_first = np.floor(a / hi + 0.5)
+    counts = np.maximum(np.ceil(a / lo - 0.5) - k_first, 0).astype(np.int64)
+    owner = np.repeat(np.arange(len(a)), counts)
+    k = k_first[owner] + (np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts))
+    breaks = a[owner] / (k + 0.5)
+    order = np.argsort(-breaks, kind="stable")
+    s1 = np.cumsum(np.concatenate(([np.sum(w * a * k_first)], (w * a)[owner][order])))
+    s2 = np.cumsum(np.concatenate(([np.sum(w * k_first**2)], (w[owner] * (2 * k + 1))[order])))
+    edges = np.concatenate(([hi], breaks[order], [lo]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_star = s1 / s2
+    inside = (d_star < edges[:-1]) & (d_star > edges[1:])
+    deltas = np.concatenate(([hi], d_star[inside], [lo]))
+    obj = np.sum(w * (f - deltas[:, None] * np.round(f / deltas[:, None]))**2, axis=1)
+    dof = max(n - 1, 1)
+    sum_wff = float(np.sum(w * f * f))
+    within = np.flatnonzero(obj <= obj.min() * (1.0 + 2.0 / math.sqrt(dof)) + 1e-12 * sum_wff)
+    jumps = np.abs(np.diff(np.round(f / deltas[within, None]), axis=0)).max(axis=1) > 1
+    chain = within[:1 + int(np.argmax(np.append(jumps, True)))]
+    best = chain[np.argmin(obj[chain])]
+    best_delta, best_j = float(deltas[best]), float(obj[best])
+    baseline = (best_delta**2 / 12.0) * float(np.sum(w))
+    if best_j > fitters.LATTICE_DETECTION_RATIO * baseline and sum_wff > 0:
+        raise LatticeNotDetectedError("no lattice in range")
+    charges = np.round(f / best_delta).astype(int)
+    denom = float(np.sum(w * charges.astype(float) ** 2))
+    delta_err = math.sqrt(best_j / dof / denom) if denom > 0 else math.inf
+    return fitters.FitResult(
+        param_names=("delta_f",), parameters={"delta_f": float(best_delta)},
+        errors={"delta_f": float(delta_err)}, covariance=np.array([[delta_err**2]]),
+        residual_norm=float(best_j), iterations=len(owner), converged=True, dof=dof,
+        derived={"charge_sequence": tuple(int(c) for c in charges),
+                 "charge_steps": tuple(int(s) for s in np.diff(charges)),
+                 "initial_charge": int(charges[0])})
+
+
+def lattice_fit_bits(fit, trace, band):
+    """A lattice fit's result field by field, floats as their bytes, or the
+    type of the error it raised."""
+    try:
+        return fit_bits(trace, lambda tr: fit(tr, band))
+    except (FitError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def lattice_cases(draw):
+    """Traces of 5-80 points: noise-free (ties at the breakpoints) or noisy,
+    zero charges, uniform, per-point or zero errors (unit weights), and
+    bands from narrow around delta_f to (2, 250) Hz."""
+    n = draw(st.integers(5, 80))
+    delta_f = draw(st.one_of(st.sampled_from([10.0, 50.0, 76.4, 100.0]), st.floats(10.0, 100.0)))
+    charges = np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)), dtype=float)
+    noise = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    f = np.maximum(delta_f * (charges + noise * np.random.default_rng(seed).standard_normal(n)),
+                   0.0)
+    errors = draw(st.one_of(
+        st.just(np.zeros(n)),
+        st.floats(1e-2, 10.0).map(lambda s: np.full(n, s)),
+        st.lists(st.floats(1e-2, 10.0), min_size=n, max_size=n).map(np.array)))
+    band = draw(st.one_of(
+        st.just((2.0, 250.0)),
+        st.tuples(st.floats(0.3, 1.0), st.floats(1.01, 3.0))
+        .map(lambda b: (b[0] * delta_f, b[0] * b[1] * delta_f)),
+        st.tuples(st.floats(2.0, 150.0), st.floats(1.01, 125.0))
+        .map(lambda b: (b[0], b[0] * b[1]))))
+    trace = FrequencyTrace(exposures=np.arange(float(n)), frequencies=f, errors=errors)
+    return trace, band
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=lattice_cases())
+# noise-free multiples of 100 Hz: points share breakpoints (500/2.5 = 700/3.5
+# = 200 Hz), which the stable sort must keep in order
+@example(case=(FrequencyTrace(exposures=np.arange(8.0), frequencies=100.0 * np.array(
+    [0.0, 5.0, 5.0, 4.0, 1.0, 0.0, 2.0, 7.0]), errors=np.zeros(8)), (2.0, 250.0)))
+def test_lattice_fit_matches_all_minima_reference(case):
+    # the screened fit is the all-minima fit, bit for bit or by the same
+    # error; the closed-form objective of every scanned minimum lies far
+    # inside the screening margin of the direct one
+    trace, band = case
+    assert (lattice_fit_bits(fit_charge_lattice, trace, band)
+            == lattice_fit_bits(reference_lattice_fit, trace, band))
+    f = trace.frequencies
+    w = 1.0 / trace.errors**2 if np.all(trace.errors > 0) else np.ones(len(f))
+    deltas, scores, _ = _lattice_minima(f, w, *band)
+    direct = _lattice_objective(deltas, f, w)
+    assert np.all(np.abs(scores - direct) <= 1e-10 * np.sum(w * f * f))

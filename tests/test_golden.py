@@ -5,7 +5,9 @@ the default seed, compared against the digests pinned in
 their stdout, against ``tests/golden/simulate_sha256.json``.
 
 A change that alters a random stream on purpose regenerates both files with
-``python tests/test_golden.py`` and says why in CHANGES.md.
+``python tests/test_golden.py`` and says why in CHANGES.md.  That also writes
+the Python and numpy versions the digests were made with to
+``tests/golden/environment.json``; a mismatch names both environments.
 """
 
 import contextlib
@@ -13,9 +15,11 @@ import hashlib
 import io
 import json
 import pathlib
+import platform
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from test_cli import MOTION_CFG, TRAJECTORY_CFG
 
@@ -26,7 +30,20 @@ from ndtrap.runner import BUNDLED_SCENARIOS, SWEEP_KINDS, load_bundled_scenario
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "reproduce_sha256.json"
 SIMULATE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "simulate_sha256.json"
+ENVIRONMENT = pathlib.Path(__file__).parent / "golden" / "environment.json"
 SIMULATE_CASES = BUNDLED_SCENARIOS + ("motion_demo", "traj_demo")
+
+
+def environment():
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def environments_line(made=None):
+    """One line naming the environment the digests were made in and this one."""
+    made = made or json.loads(ENVIRONMENT.read_text())
+    now = environment()
+    return (f"digests made with Python {made['python']}, numpy {made['numpy']}; "
+            f"this run has Python {now['python']}, numpy {now['numpy']}")
 
 
 def figure_digests(figure, out_dir):
@@ -58,13 +75,20 @@ def simulate_digests(case, work_dir):
 @pytest.mark.parametrize("figure", FIGURES)
 def test_reproduce_golden_digests(figure, tmp_path):
     expected = json.loads(GOLDEN.read_text())[figure]
-    assert figure_digests(figure, tmp_path) == expected
+    assert figure_digests(figure, tmp_path) == expected, environments_line()
 
 
 @pytest.mark.parametrize("case", SIMULATE_CASES)
 def test_simulate_golden_digests(case, tmp_path):
     expected = json.loads(SIMULATE_GOLDEN.read_text())[case]
-    assert simulate_digests(case, tmp_path) == expected
+    assert simulate_digests(case, tmp_path) == expected, environments_line()
+
+
+def test_environments_line_names_both():
+    line = environments_line({"python": "3.0.0", "numpy": "1.24.0"})
+    assert line == (f"digests made with Python 3.0.0, numpy 1.24.0; this run has "
+                    f"Python {platform.python_version()}, numpy {np.__version__}")
+    assert set(json.loads(ENVIRONMENT.read_text())) == {"python", "numpy"}
 
 
 if __name__ == "__main__":
@@ -75,5 +99,6 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     SIMULATE_GOLDEN.write_text(json.dumps(sim, indent=2, sort_keys=True) + "\n")
+    ENVIRONMENT.write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
     print(f"{sum(map(len, table.values()))} + {sum(map(len, sim.values()))} digests "
           f"-> {GOLDEN.parent}", file=sys.stderr)

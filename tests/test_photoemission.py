@@ -329,3 +329,42 @@ def test_trajectory_validation():
     empty = ChargeTrajectory(times=np.array([]), charges=np.array([]),
                              initial_charge=-50)
     assert empty.n_events == 0 and empty.final_charge == -50
+
+
+def remainder_pulse_counts(train, phases):
+    """Each row's transmitted-pulse count, rows of candidates n_lo..n_hi in
+    blocks, with the chopper phase taken by np.remainder(x, 1.0), the form
+    count_pulses replaced by x - floor(x)."""
+    t_chop, t_rep = 1.0 / train.chopper_frequency, 1.0 / train.repetition_rate
+    counts = []
+    for block in np.split(phases, np.arange(10_000, len(phases), 10_000)):
+        shutter_phase, chopper_phase, laser_phase = (block[:, k, None] for k in range(3))
+        t0 = shutter_phase * t_chop
+        t1 = t0 + train.shutter_open
+        n_lo = np.ceil((t0 - laser_phase * t_rep) / t_rep)
+        n_hi = np.floor((t1 - laser_phase * t_rep) / t_rep)
+        n = n_lo + np.arange(int((n_hi - n_lo).max()) + 1)
+        t = (n + laser_phase) * t_rep
+        x = np.remainder(t / t_chop - chopper_phase, 1.0)
+        passed = (n <= n_hi) & (t0 <= t) & (t < t1) & (x < train.chopper_duty)
+        counts += passed.sum(axis=1).tolist()
+    return counts
+
+
+@pytest.mark.parametrize("rep,duty,shutter", TRAINS)
+def test_count_pulses_matches_remainder_reference(rep, duty, shutter):
+    train = gated_train(rep, duty, shutter)
+    below_one = np.nextafter(1.0, 0.0)
+    edges = np.array(np.meshgrid(*[[0.0, 0.5, below_one]] * 3)).reshape(3, -1).T
+    phases = np.concatenate([np.random.default_rng(27).random((100_000, 3)), edges])
+    assert count_pulses(train, phases).tolist() == remainder_pulse_counts(train, phases)
+
+
+def test_pick_pulses_pinned_at_fig12_phases():
+    train = load_bundled_scenario("fig12_picker").pulse_train()
+    assert train.phases == (0.0, 0.0, 0.0)
+    assert pick_pulses(train).tolist() == [0.0]
+    below_one = float(np.nextafter(1.0, 0.0))
+    assert pick_pulses(train, (0.5, 0.5, 0.5)).tolist() == [0.0020108695652173913]
+    assert pick_pulses(train, (0.3, 0.7, 0.1)).tolist() == [0.0028369565217391305]
+    assert pick_pulses(train, (below_one,) * 3).tolist() == [0.004021739130434783]

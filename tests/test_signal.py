@@ -142,3 +142,20 @@ def test_frequency_trace_validation():
         FrequencyTrace(exposures=np.array([0.0, 1.0]),
                        frequencies=np.array([1.0, 2.0]),
                        errors=np.zeros(2), exposure_unit="minutes")
+    with pytest.raises(ValueError, match="errors must be >= 0"):
+        FrequencyTrace(exposures=np.array([0.0, 1.0, 1.0]),
+                       frequencies=np.array([1.0, 2.0, 3.0]),
+                       errors=np.array([0.0, -0.5, 0.0]))
+    with pytest.raises(ValueError, match="equal length"):
+        FrequencyTrace(exposures=np.array([0.0, 1.0]),
+                       frequencies=np.array([1.0, 2.0, 3.0]),
+                       errors=np.zeros(3))
+
+
+def test_frequency_trace_lets_nan_through():
+    # NaN compares false, so none of the checks rejects it, as before
+    nan = math.nan
+    trace = FrequencyTrace(exposures=np.array([0.0, nan, 1.0]),
+                           frequencies=np.array([1.0, nan, 2.0]),
+                           errors=np.array([nan, 0.0, 0.0]))
+    assert len(trace) == 3 and trace.exposures.dtype == float
